@@ -44,10 +44,9 @@ enum class ArrayRouting { Stream, Memory };
 /// bit-identical in all MachineResult fields; they differ only in how the
 /// statically known schedule of §3 is (re)discovered at runtime.
 enum class SchedulerKind {
-  EventDriven,          ///< time wheel + ready queue (the default)
-  ParallelEventDriven,  ///< sharded event-driven across worker threads
-  Synchronous,          ///< full cell rescan per instruction time
-  Reference,            ///< naive reference stepper (oracle)
+  EventDriven,  ///< time wheel + ready queue (the default)
+  Synchronous,  ///< full cell rescan per instruction time
+  Reference,    ///< naive reference stepper (oracle)
   /// Steady-state backend over the sched::SteadySchedule IR: event-driven
   /// fill/drain with the periodic middle fast-forwarded in bulk.  Falls back
   /// to EventDriven (see CompiledFallback) when the schedule IR declines the

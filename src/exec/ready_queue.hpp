@@ -39,11 +39,11 @@ class ReadyQueue {
   void wake(std::uint32_t cell, std::int64_t at) {
     if (lastWake_[cell] == at) return;  // common duplicate (ack + arrival)
     lastWake_[cell] = at;
-    // Keep the cursor a true lower bound.  A sharded wheel can receive a
-    // wake between the global time and its own next local entry — i.e.
-    // behind a cursor nextTime() already scanned forward — and an empty
-    // wheel's cursor may be arbitrarily stale; in both cases scanning from
-    // the old cursor would miss (or alias) this entry's bucket.  Every
+    // Keep the cursor a true lower bound.  A restored wheel is seeded out of
+    // time order (the reseeding walks cells, not times), and an empty
+    // wheel's cursor may be arbitrarily stale (the compiled scheduler clears
+    // the wheel and refills it at shifted times); in both cases scanning
+    // from the old cursor would miss (or alias) this entry's bucket.  Every
     // bucket between `at` and a scanned-ahead cursor is empty, so snapping
     // back is exact.
     if (count_ == 0 || at < next_) next_ = at;
@@ -57,14 +57,6 @@ class ReadyQueue {
   std::int64_t nextTime() {
     while (buckets_[static_cast<std::size_t>(next_ & mask_)].empty()) ++next_;
     return next_;
-  }
-
-  /// Fast-forwards the scan cursor to `t`.  Used by sharded wheels: a shard
-  /// with no event for a stretch of globally active times must not re-scan
-  /// that stretch (or alias entries a full ring ahead).  Precondition: no
-  /// entry is scheduled before `t`.
-  void advanceTo(std::int64_t t) {
-    if (t > next_) next_ = t;
   }
 
   /// Forgets every scheduled wake and resets the cursor and dedupe stamps,

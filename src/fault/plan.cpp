@@ -61,41 +61,41 @@ Plan parsePlan(const std::string& spec) {
     const std::string key = entry.substr(0, eq);
     const std::string val =
         eq == std::string::npos ? std::string() : entry.substr(eq + 1);
-    if (key == "reorder") {
-      if (!val.empty()) bad(entry, "takes no value");
-      plan.mailboxReorder = true;
-    } else if (val.empty()) {
-      bad(entry, "missing value");
-    } else if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parseInt(entry, val));
+    // Known keys all take a value; an unknown one is reported as such even
+    // when it has none.
+    const auto value = [&]() -> const std::string& {
+      if (val.empty()) bad(entry, "missing value");
+      return val;
+    };
+    if (key == "seed") {
+      plan.seed = static_cast<std::uint64_t>(parseInt(entry, value()));
     } else if (key == "jitter") {
-      plan.latencyJitterMax = static_cast<int>(parseInt(entry, val));
+      plan.latencyJitterMax = static_cast<int>(parseInt(entry, value()));
     } else if (key == "delay") {
-      plan.deliveryDelayMax = static_cast<int>(parseInt(entry, val));
-    } else if (key == "skew") {
-      plan.barrierSkewMax = static_cast<int>(parseInt(entry, val));
+      plan.deliveryDelayMax = static_cast<int>(parseInt(entry, value()));
     } else if (key == "outage") {
       // CLASS@FROM+LEN, e.g. fpu@100+50
-      const std::size_t at = val.find('@');
-      const std::size_t plus = val.find('+', at == std::string::npos ? 0 : at);
+      const std::string& v = value();
+      const std::size_t at = v.find('@');
+      const std::size_t plus = v.find('+', at == std::string::npos ? 0 : at);
       if (at == std::string::npos || plus == std::string::npos)
         bad(entry, "want CLASS@FROM+LEN, e.g. fpu@100+50");
       Outage o;
-      o.fu = parseFuClass(entry, val.substr(0, at));
-      o.from = parseInt(entry, val.substr(at + 1, plus - at - 1));
-      o.length = parseInt(entry, val.substr(plus + 1));
+      o.fu = parseFuClass(entry, v.substr(0, at));
+      o.from = parseInt(entry, v.substr(at + 1, plus - at - 1));
+      o.length = parseInt(entry, v.substr(plus + 1));
       plan.outages.push_back(o);
     } else if (key == "drop-result") {
-      plan.dropResultPermille = parsePermille(entry, val);
+      plan.dropResultPermille = parsePermille(entry, value());
     } else if (key == "dup-result") {
-      plan.dupResultPermille = parsePermille(entry, val);
+      plan.dupResultPermille = parsePermille(entry, value());
     } else if (key == "drop-ack") {
-      plan.dropAckPermille = parsePermille(entry, val);
+      plan.dropAckPermille = parsePermille(entry, value());
     } else if (key == "dup-ack") {
-      plan.dupAckPermille = parsePermille(entry, val);
+      plan.dupAckPermille = parsePermille(entry, value());
     } else {
-      bad(entry, "unknown key (want seed, jitter, delay, skew, reorder, "
-                 "outage, drop-result, dup-result, drop-ack, dup-ack)");
+      bad(entry, "unknown key (want seed, jitter, delay, outage, "
+                 "drop-result, dup-result, drop-ack, dup-ack)");
     }
   }
   return plan;
@@ -106,8 +106,6 @@ std::string describe(const Plan& plan) {
   os << "seed=" << plan.seed;
   if (plan.latencyJitterMax) os << ",jitter=" << plan.latencyJitterMax;
   if (plan.deliveryDelayMax) os << ",delay=" << plan.deliveryDelayMax;
-  if (plan.barrierSkewMax) os << ",skew=" << plan.barrierSkewMax;
-  if (plan.mailboxReorder) os << ",reorder";
   for (const Outage& o : plan.outages)
     os << ",outage=" << fuName(o.fu) << "@" << o.from << "+" << o.length;
   if (plan.dropResultPermille) os << ",drop-result=" << plan.dropResultPermille;
@@ -125,7 +123,6 @@ std::string Counters::str() const {
     os << n << " " << what;
   };
   item(delayedResults, "delayed results");
-  item(skewedMessages, "skewed messages");
   item(outageDenials, "outage denials");
   item(droppedResults, "dropped results");
   item(duplicatedResults, "duplicated results");

@@ -19,14 +19,6 @@
 // hook is a null-pointer test when off — the same zero-cost contract as the
 // obs probes.  A violation throws guard::ViolationError naming the invariant
 // and the cells on the offending arc.
-//
-// Parallel-engine ownership: `sent`/`acked` are only touched by the
-// producer cell's shard (sends in phase B, ack receipts in the drain
-// window), `delivered`/`consumed` only by the consumer cell's shard
-// (deliveries in phase B or the drain window, consumption in phase B); the
-// one cross-shard access — onDeliver reading `sent` during a drain — is
-// ordered after the sender's phase B by the step barrier.  Same disjointness
-// argument as the slot and mirror arrays (see engine_parallel.cpp).
 #pragma once
 
 #include <cstdint>
@@ -91,10 +83,10 @@ struct State {
       if (eg.operandAt(s).hasInitial) sent[s] = delivered[s] = 1;
   }
 
-  std::vector<std::int64_t> sent;       ///< producer-shard-owned
-  std::vector<std::int64_t> acked;      ///< producer-shard-owned
-  std::vector<std::int64_t> delivered;  ///< consumer-shard-owned
-  std::vector<std::int64_t> consumed;   ///< consumer-shard-owned
+  std::vector<std::int64_t> sent;       ///< result packets sent
+  std::vector<std::int64_t> acked;      ///< acknowledges received
+  std::vector<std::int64_t> delivered;  ///< result packets landed
+  std::vector<std::int64_t> consumed;   ///< operands consumed
 };
 
 /// "cell #12 (MUL)" / "cell #3 (OUT 'x')" label for messages.

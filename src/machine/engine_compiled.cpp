@@ -6,9 +6,9 @@
 // hyper-period, and a drain transient as the sources exhaust.  The event
 // engine spends the same per-token effort on all three; only the transients
 // need it.  The compiled scheduler therefore runs the ordinary event loop
-// (detail::SingleEngine::runEventLoop) with a per-step hook that
+// (detail::Engine::runEventLoop) with a per-step hook that
 //
-//   1. mirrors the time wheel's pending wakes (SingleEngine::wakeLog), so the
+//   1. mirrors the time wheel's pending wakes (Engine::wakeLog), so the
 //      wheel can be rebuilt, shifted in time, after a jump;
 //   2. once past an arming time that covers the fill transient, snapshots the
 //      machine state in shift-canonical form — every timestamp taken relative
@@ -50,7 +50,7 @@
 #include <utility>
 #include <vector>
 
-#include "machine/engine_single.hpp"
+#include "machine/engine_impl.hpp"
 #include "sched/schedule.hpp"
 #include "sched/steady_loop.hpp"
 #include "support/check.hpp"
@@ -78,7 +78,7 @@ struct Snap {
 
 class CompiledDriver {
  public:
-  CompiledDriver(SingleEngine& e, const sched::SteadySchedule& ss)
+  CompiledDriver(Engine& e, const sched::SteadySchedule& ss)
       : e_(e), ss_(ss) {
     const std::int64_t period = e_.fifoTiming().period();
     // Below this floor every timestamp is behaviorally dead: no enabling
@@ -98,7 +98,7 @@ class CompiledDriver {
     }
   }
 
-  /// The wake log SingleEngine appends to; drained into the pending mirror
+  /// The wake log the engine appends to; drained into the pending mirror
   /// at the start of every step.
   std::vector<std::pair<std::uint32_t, std::int64_t>>* wakeBuf = nullptr;
 
@@ -196,7 +196,7 @@ class CompiledDriver {
     }
     s.t = e_.now;
     canonWords(s.words);
-    s.firings.assign(e_.firings, e_.firings + n);
+    s.firings = e_.firings;
     s.totalFirings = e_.totalFirings;
     s.packets = e_.packets;
     s.emitted.resize(n);
@@ -413,10 +413,10 @@ class CompiledDriver {
     // wake targets (t1, t1 + horizon], so every rebuilt one targets
     // (tNew, tNew + horizon] — nothing lands at tNew itself (a wake at the
     // current time would examine cells one step early) and nothing aliases.
-    e_.rq->clear();
+    e_.queue->clear();
     std::set<std::pair<std::int64_t, std::uint32_t>> shifted;
     for (const auto& [at, cell] : pending_) {
-      e_.rq->wake(cell, at + K);
+      e_.queue->wake(cell, at + K);
       shifted.insert({at + K, cell});
     }
     pending_.swap(shifted);
@@ -447,7 +447,7 @@ class CompiledDriver {
     attempts_ = 0;
   }
 
-  SingleEngine& e_;
+  Engine& e_;
   const sched::SteadySchedule& ss_;
   std::vector<std::uint32_t> composites_;
   std::vector<std::uint32_t> sources_;
@@ -467,7 +467,7 @@ class CompiledDriver {
 
 }  // namespace
 
-void runCompiled(SingleEngine& e) {
+void runCompiled(Engine& e) {
   auto& info = e.result.compiled;
   info.requested = true;
   const sched::SteadySchedule ss = sched::computeSteadySchedule(e.eg);

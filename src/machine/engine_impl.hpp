@@ -1,73 +1,79 @@
-// Shared firing core of the timed machine engines (internal header).
+// The timed engine over the flattened exec::ExecutableGraph (internal
+// header).
 //
-// The single-threaded scheduler loops (machine/engine.cpp) and the sharded
-// parallel scheduler (machine/engine_parallel.cpp) implement the same §2/§3
-// firing discipline — enabling test, firing effects, acknowledge
-// bookkeeping.  EngineBase extracts that discipline once, verbatim, over
-// caller-owned flat state arrays; the derived engine supplies only the
-// event-routing hooks that differ between the two:
+// detail::Engine owns a run's whole dynamic state and implements the §2/§3
+// firing discipline once — enabling test, firing effects, acknowledge
+// bookkeeping — plus the two serial run loops that drive it:
 //
-//   wake(cell, at)                       re-examine `cell` at time `at`
-//   destFree(dest)                       is this destination slot free?
-//   deliverOne(dest, v, at, wakeAt)      result packet into a destination
-//   ackProducer(producer, slot, freedAt, wakeAt)
-//                                        acknowledge back to a producer
-//   onOutput(stopSlot)                   one expected-output element landed
+//   runSynchronous — rescans every cell each instruction time with rotating
+//                    priority, the original stepper's schedule on the flat
+//                    representation;
+//   runEventLoop   — examines only cells woken by an event (token arrival,
+//                    acknowledge, function-unit release, own-firing
+//                    completion, array-memory store), popped per instruction
+//                    time from exec::ReadyQueue and scanned in the same
+//                    rotating priority order.  runEventDriven is the plain
+//                    instantiation; the compiled scheduler
+//                    (machine/engine_compiled.cpp) instantiates it with a
+//                    per-step hook that watches for a steady state and
+//                    fast-forwards the run by whole periods.
 //
-// The single-threaded engine routes every hook to its own slots and wheel;
-// a parallel shard routes hooks whose target cell lives in another shard
-// through the cross-shard mailboxes (and answers destFree from its
-// producer-side mirror).  Keeping the core byte-for-byte shared is what
-// makes "bit-identical across schedulers" a structural property instead of
-// a test-enforced one.
+// Both phases of an examined instruction time are kept two-phase (all
+// enabling decisions before any firing is applied), and candidate cells are
+// ordered exactly as the full rescan orders them, so every MachineResult
+// field — outputs, arrival times, per-cell firings, cycles, packet and
+// busy-time counters — is bit-identical across the schedulers and the
+// Reference stepper (machine/engine_reference.cpp).
+//
+// This header is internal to src/machine (it is not part of the public
+// simulate() surface); it exists so engine_compiled.cpp and
+// engine_snapshot.cpp can reach the engine engine.cpp's dispatch constructs.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/cell_state.hpp"
 #include "exec/executable_graph.hpp"
 #include "exec/fifo.hpp"
+#include "exec/fu_pool.hpp"
 #include "exec/ops.hpp"
 #include "exec/packet_counters.hpp"
+#include "exec/ready_queue.hpp"
 #include "exec/router.hpp"
 #include "exec/stop.hpp"
 #include "fault/injector.hpp"
+#include "guard/diagnosis.hpp"
 #include "guard/guard.hpp"
 #include "machine/engine.hpp"
+#include "machine/engine_snapshot.hpp"
 #include "obs/probe.hpp"
+#include "recover/snapshot.hpp"
 #include "support/check.hpp"
 
 namespace valpipe::machine::detail {
 
-/// CRTP base holding the engine state one scheduler "lane" owns (a whole run
-/// for the single-threaded engine, one shard for the parallel one) and the
-/// shared enabling/firing logic over it.  `slots` / `cellDyn` / `firings`
-/// are caller-owned flat arrays (shared and partitioned by cell in the
-/// parallel engine); the stream-shaped results (outputs, arrival times,
-/// array-memory regions) and packet counters are owned here per lane and
-/// merged by the caller.
-template <class Derived>
-struct EngineBase {
+struct Engine {
   const exec::ExecutableGraph& eg;
   const MachineConfig& cfg;
   const RunOptions& opts;
+  const dfg::Graph* lowered = nullptr;  ///< for the stall diagnosis
 
-  // Caller-owned flat state, bound by the derived ctor (the derived class
-  // owns or borrows the storage; a base ctor argument would dereference
-  // not-yet-constructed derived members).
-  exec::Slot* slots = nullptr;       ///< per operand slot (gates included)
-  exec::CellDyn* cellDyn = nullptr;  ///< per cell emitted / busyUntil
-  std::uint64_t* firings = nullptr;  ///< per cell firing counts
+  std::vector<exec::Slot> slots;      ///< per operand slot (gates included)
+  std::vector<exec::CellDyn> cellDyn; ///< per cell emitted / busyUntil
+  std::vector<std::uint64_t> firings; ///< per cell firing counts
   /// Composite-FIFO ring state (exec::makeFifoStates), non-empty entries for
   /// Fifo cells of depth >= 2 only.  Written through a const enabled(): the
   /// phase-A accept/emit decision is cached here so phase B applies exactly
   /// what phase A saw (unobservable bookkeeping, like a memo).
-  exec::FifoState* fifoDyn = nullptr;
+  mutable std::vector<exec::FifoState> fifoDyn;
 
   exec::Router router;
   exec::PacketCounters packets;
@@ -81,63 +87,97 @@ struct EngineBase {
   /// Output cells: expected-output counter index (-1 when unexpected).
   std::vector<std::int32_t> stopSlotOf;
 
+  exec::FuPool fu;
+  exec::StopCondition stop;
+  /// The time wheel; present only while the event loop runs (the rescan
+  /// needs no wakes).
+  std::optional<exec::ReadyQueue> queue;
+  std::optional<guard::State> gst;
+
   std::int64_t now = 0;
   bool consumedAny = false;   ///< current firing consumed a non-literal port
   bool deliveredAny = false;  ///< current firing filled a destination slot
 
-  /// This lane's observability hooks; inert (null sinks) unless the run was
-  /// given sinks in its RunOptions.  Every call below is a null-pointer test
-  /// when inert, keeping the no-sink fast path free.
+  /// Observability hooks; inert (null sinks) unless the run was given sinks
+  /// in its RunOptions.  Every call below is a null-pointer test when inert,
+  /// keeping the no-sink fast path free.
   obs::LaneProbe probe;
-
-  /// This lane's fault injector and invariant guards; both follow the same
-  /// null-pointer zero-cost contract as `probe`.  A parallel shard reseeds
-  /// `inj` with its lane number; `grd` is bound by the derived engine when
-  /// the run carries a guard::Config.
+  /// Fault injector and invariant guards; both follow the same null-pointer
+  /// zero-cost contract as `probe`.
   fault::Injector inj;
   guard::LaneGuard grd;
 
-  EngineBase(const exec::ExecutableGraph& graph, const MachineConfig& config,
-             const RunOptions& o)
+  /// When set, every wake() is also appended here (cell, at).  The compiled
+  /// scheduler mirrors the wheel's pending set through this log so it can
+  /// rebuild the wheel — shifted in time — after a bulk fast-forward.
+  std::vector<std::pair<std::uint32_t, std::int64_t>>* wakeLog = nullptr;
+
+  /// Instruction time of the most recent firing (-1 before any), maintained
+  /// by both run loops; part of the quiescence decision and therefore part
+  /// of the state a fast-forward (or a snapshot) must carry.
+  std::int64_t lastFire_ = -1;
+
+  /// Scheduler label recorded in captured snapshots (set by the dispatch).
+  const char* schedLabel = "EventDriven";
+  /// Next instruction time a checkpoint is due at (max = checkpointing off).
+  std::int64_t nextCkpt_ = std::numeric_limits<std::int64_t>::max();
+  /// Wall-clock deadline state (opts.deadlineMicros).
+  std::chrono::steady_clock::time_point ddlAt_{};
+  std::uint32_t ddlTick_ = 0;
+
+  MachineResult result;
+
+  Engine(const exec::ExecutableGraph& graph, const MachineConfig& config,
+         const run::StreamMap& inputs, const RunOptions& o)
       : eg(graph),
         cfg(config),
         opts(o),
+        slots(graph.slotCount()),
+        cellDyn(graph.size()),
+        firings(graph.size(), 0),
+        fifoDyn(exec::makeFifoStates(graph)),
         sourceData(graph.size(), nullptr),
         stopSlotOf(graph.size(), -1),
-        inj(o.faults, 0) {}
-
-  Derived& self() { return static_cast<Derived&>(*this); }
-  const Derived& self() const { return static_cast<const Derived&>(*this); }
-
-  // --- one-time binding helpers -------------------------------------------
-
-  /// Seeds this lane's array-memory map for cell `c`: fetched regions must
-  /// exist before sourceData binds to them (stores fill them during the
-  /// run), and a stored region preloaded via amInitial must start from the
-  /// preload so store firings append after it.  Regions neither fetched nor
-  /// preloaded stay absent until a store lazily creates them — entry
-  /// existence in amFinal is part of the bit-identical contract.
-  void seedAm(std::uint32_t c) {
-    const exec::Cell& cl = eg.cell(c);
-    if (cl.op != dfg::Op::AmFetch && cl.op != dfg::Op::AmStore) return;
-    const std::string& name = eg.streamName(cl);
-    if (cl.op == dfg::Op::AmFetch) {
-      auto it = opts.amInitial.find(name);
-      amFinal.emplace(name,
-                      it != opts.amInitial.end() ? it->second
-                                                 : std::vector<Value>{});
-    } else if (auto it = opts.amInitial.find(name);
-               it != opts.amInitial.end()) {
-      amFinal.emplace(name, it->second);
+        fu(config.fuUnits, config.execLatency),
+        stop(o.expectedOutputs),
+        inj(o.faults) {
+    if (opts.guards) {
+      gst.emplace(eg);
+      grd = guard::LaneGuard(opts.guards, &*gst, &eg);
     }
+    // Load-time tokens (counter-loop bootstraps): present at t = 0.
+    for (std::uint32_t s = 0; s < eg.slotCount(); ++s) {
+      const exec::Operand& op = eg.operandAt(s);
+      if (op.hasInitial) {
+        slots[s].full = true;
+        slots[s].v = op.initial;
+      }
+    }
+    amFinal = opts.amInitial;
+    // Fetched regions must exist even when nothing is pre-loaded (stores
+    // fill them during the run); resolve stream bindings once.
+    for (std::uint32_t c = 0; c < eg.size(); ++c) {
+      const exec::Cell& cl = eg.cell(c);
+      if (cl.op == dfg::Op::AmFetch) amFinal[eg.streamName(cl)];
+    }
+    for (std::uint32_t c = 0; c < eg.size(); ++c) bindCell(c, inputs);
+    if (opts.placement) {
+      VALPIPE_CHECK_MSG(opts.placement->peOf.size() == eg.size(),
+                        "placement does not match the graph");
+      router = exec::Router(opts.placement->peOf, opts.placement->peCount,
+                            cfg.interPeDelay);
+    }
+    if (opts.checkpoints && opts.checkpointEvery > 0)
+      nextCkpt_ = (opts.restoreFrom ? opts.restoreFrom->now : 0) +
+                  opts.checkpointEvery;
+    if (opts.deadlineMicros > 0)
+      ddlAt_ = std::chrono::steady_clock::now() +
+               std::chrono::microseconds(opts.deadlineMicros);
   }
 
-  /// Resolves cell `c`'s stream binding (after every seedAm of this lane):
-  /// input data, fetched region, or expected-output counter index given by
-  /// `slotFor` (StopCondition::slotFor order).
-  template <class SlotFor>
-  void bindCell(std::uint32_t c, const run::StreamMap& inputs,
-                const SlotFor& slotFor) {
+  /// Resolves cell `c`'s stream binding: input data, fetched region, or
+  /// expected-output counter index.
+  void bindCell(std::uint32_t c, const run::StreamMap& inputs) {
     const exec::Cell& cl = eg.cell(c);
     if (cl.op == dfg::Op::Input) {
       auto it = inputs.find(eg.streamName(cl));
@@ -150,11 +190,22 @@ struct EngineBase {
     } else if (cl.op == dfg::Op::AmFetch) {
       sourceData[c] = &amFinal.at(eg.streamName(cl));
     } else if (cl.op == dfg::Op::Output) {
-      stopSlotOf[c] = slotFor(eg.streamName(cl));
+      stopSlotOf[c] = stop.slotFor(eg.streamName(cl));
     }
   }
 
-  // --- shared firing discipline -------------------------------------------
+  // --- event routing ------------------------------------------------------
+
+  /// Schedules `cell` for re-examination at `at`.  Every caller passes a
+  /// time after `now`: a wake at or before the time being processed would
+  /// pull the wheel's cursor back, and the cells popped at that stale time
+  /// would be examined — and their real wakes consumed — too early.
+  void wake(std::uint32_t cell, std::int64_t at) {
+    if (queue) queue->wake(cell, at);
+    if (wakeLog) wakeLog->emplace_back(cell, at);
+  }
+
+  // --- firing discipline --------------------------------------------------
 
   std::int64_t sourceLimit(std::uint32_t c, const exec::Cell& cl) const {
     if (cl.op == dfg::Op::AmFetch) {
@@ -202,7 +253,7 @@ struct EngineBase {
 
   bool destsFree(exec::DestSpan ds) const {
     for (const exec::Dest& d : ds)
-      if (!self().destFree(d)) return false;
+      if (!slotFree(slots[d.slot])) return false;
     return true;
   }
 
@@ -221,12 +272,12 @@ struct EngineBase {
   /// Extra settle/wake span composite cells introduce (0 without them): a
   /// composite holds tokens for up to (k-1) forward or backward hop times
   /// with no firing anywhere, which both the quiescence window and the time
-  /// wheels must cover.
+  /// wheel must cover.
   std::int64_t fifoSlack() const {
     return exec::fifoSettleSlack(eg.maxFifoDepth(), fifoTiming());
   }
 
-  /// Enabled test (phase A, reads only start-of-cycle lane-local state).
+  /// Enabled test (phase A, reads only start-of-cycle state).
   bool enabled(std::uint32_t c) const {
     const exec::Cell& cl = eg.cell(c);
     const exec::CellDyn& dyn = cellDyn[c];
@@ -262,6 +313,14 @@ struct EngineBase {
     return !gateVal || destsFree(eg.taggedDests(cl, *gateVal));
   }
 
+  /// Acknowledge back to `producer` that `slot` frees; it may re-enable from
+  /// the instruction time the acknowledge becomes visible.
+  void ackProducer(std::uint32_t producer, std::uint32_t slot,
+                   std::int64_t freedAt) {
+    grd.onAck(producer, slot, now);
+    wake(producer, std::max<std::int64_t>(freedAt, now + 1));
+  }
+
   void consume(std::uint32_t c, const exec::Cell& cl, int port) {
     const std::uint32_t si = eg.slotOf(cl, port);
     const exec::Operand& o = eg.operandAt(si);
@@ -279,13 +338,21 @@ struct EngineBase {
     }
     s.freedAt = now + cfg.ackDelay;
     probe.ack(o.producer, c, now, s.freedAt);
-    // The acknowledge frees the producer's destination: it may re-enable
-    // from the instruction time the ack becomes visible.
-    self().ackProducer(o.producer, si, s.freedAt,
-                       std::max<std::int64_t>(s.freedAt, now + 1));
-    if (inj.dupAck())
-      self().ackProducer(o.producer, si, s.freedAt,
-                         std::max<std::int64_t>(s.freedAt, now + 1));
+    ackProducer(o.producer, si, s.freedAt);
+    if (inj.dupAck()) ackProducer(o.producer, si, s.freedAt);
+  }
+
+  /// One result packet into a destination slot; the consumer wakes at
+  /// `wakeAt`.
+  void deliverOne(const exec::Dest& d, const Value& v, std::int64_t at,
+                  std::int64_t wakeAt) {
+    exec::Slot& s = slots[d.slot];
+    grd.onDeliver(d.consumer, d.slot, s.full, at);
+    VALPIPE_CHECK_MSG(!s.full, "result packet delivered into occupied slot");
+    s.full = true;
+    s.v = v;
+    s.readyAt = at;
+    wake(d.consumer, wakeAt);
   }
 
   void deliver(exec::DestSpan ds, const Value& v, std::uint32_t from,
@@ -306,21 +373,9 @@ struct EngineBase {
       const std::int64_t wakeAt =
           lost ? now + 1 : std::max<std::int64_t>(at, now + 1);
       probe.result(from, d.consumer, now, at);
-      self().deliverOne(d, v, at, wakeAt);
-      if (inj.dupResult()) self().deliverOne(d, v, at, wakeAt);
+      deliverOne(d, v, at, wakeAt);
+      if (inj.dupResult()) deliverOne(d, v, at, wakeAt);
     }
-  }
-
-  /// deliverOne for a destination whose slot this lane owns.
-  void deliverLocal(const exec::Dest& d, const Value& v, std::int64_t at,
-                    std::int64_t wakeAt) {
-    exec::Slot& s = slots[d.slot];
-    grd.onDeliver(d.consumer, d.slot, s.full, at);
-    VALPIPE_CHECK_MSG(!s.full, "result packet delivered into occupied slot");
-    s.full = true;
-    s.v = v;
-    s.readyAt = at;
-    self().wake(d.consumer, wakeAt);
   }
 
   /// Phase B of a composite FIFO cell: applies the accept and/or emit the
@@ -329,6 +384,14 @@ struct EngineBase {
   /// firing/packet counters and probes tick on emits only; an accept-only
   /// activation still occupies the cell (and one FU grant) for this
   /// instruction time, like the chain's head stage would.
+  ///
+  /// Wakes cover every time the composite can become enabled with no
+  /// external event: the tail's next period and the acknowledge wave that
+  /// re-admits a blocked accept (after an emit), the head's next period
+  /// (after an accept), and the head token's maturation.  Each lies after
+  /// `now`; in particular a head token that matured while its destinations
+  /// were full waits for their acknowledge, not for a wake at its (past)
+  /// maturation time.
   void fireFifo(std::uint32_t c, const exec::Cell& cl) {
     exec::FifoState& f = fifoDyn[c];
     VALPIPE_CHECK_MSG(f.decidedAt == now,
@@ -337,7 +400,6 @@ struct EngineBase {
     dyn.busyUntil = now + 1;
     consumedAny = deliveredAny = false;
     const exec::FifoTiming t = fifoTiming();
-    const std::int64_t ringLen = f.ring();
     if (f.doEmit) {
       ++firings[c];
       ++totalFirings;
@@ -349,23 +411,21 @@ struct EngineBase {
           now + cfg.execLatency[static_cast<std::size_t>(cl.fu)] +
           cfg.routeDelay + inj.execJitter();
       deliver(eg.alwaysDests(cl), v, c, arrive);
-      // This emit's acknowledge wave re-admits a blocked accept after (k-1)
-      // backward hops; the tail itself may re-emit one period later.
-      self().wake(c, now + ringLen * t.ackDelay);
-      self().wake(c, now + t.period());
+      wake(c, now + f.ring() * t.ackDelay);
+      wake(c, now + t.period());
     }
     if (f.doAccept) {
-      const Value v = portValue(cl, 0);
-      f.push(v, t, now);
+      f.push(portValue(cl, 0), t, now);
       consume(c, cl, 0);
-      // The head stage may accept again one period later.
-      self().wake(c, now + t.period());
+      wake(c, now + t.period());
     }
     grd.onFifoFire(c, eg.slotOf(cl, 0), f.accepted, f.emitted, f.depth, now);
-    // The next head token becomes emittable with no external event.
-    if (f.count > 0)
-      self().wake(c, std::max(f.readyAt[f.head], f.lastEmit + t.period()));
-    if (!consumedAny && !deliveredAny) self().wake(c, now + 1);
+    if (f.count > 0) {
+      const std::int64_t mature =
+          std::max(f.readyAt[f.head], f.lastEmit + t.period());
+      if (mature > now) wake(c, mature);
+    }
+    if (!consumedAny && !deliveredAny) wake(c, now + 1);
   }
 
   /// Phase B: applies the firing of `c` at time `now`.
@@ -403,15 +463,14 @@ struct EngineBase {
         case dfg::Op::Output: {
           outputs[eg.streamName(cl)].push_back(in(0));
           outputTimes[eg.streamName(cl)].push_back(now);
-          self().onOutput(stopSlotOf[c]);
+          stop.onOutput(stopSlotOf[c]);
           break;
         }
         case dfg::Op::Sink: break;
         case dfg::Op::AmStore: {
           amFinal[eg.streamName(cl)].push_back(in(0));
           // The store extends the region: matching fetchers may re-enable.
-          // (Fetchers of a stream are co-located with its store.)
-          for (std::uint32_t f : eg.fetchersOf(cl)) self().wake(f, now + 1);
+          for (std::uint32_t f : eg.fetchersOf(cl)) wake(f, now + 1);
           break;
         }
         default: out = exec::applyPure(cl.op, in); break;
@@ -433,7 +492,7 @@ struct EngineBase {
     // by the matching refill / acknowledge; only a firing with neither (a
     // source with no destinations, an all-literal consumer, ...) can be
     // enabled again at now + 1 with no further event.
-    if (!consumedAny && !deliveredAny) self().wake(c, now + 1);
+    if (!consumedAny && !deliveredAny) wake(c, now + 1);
   }
 
   std::int64_t settleWindow() const {
@@ -450,7 +509,7 @@ struct EngineBase {
 
   /// Longest forward distance of any wake: a delivered packet's transit
   /// (execution + routing + the inter-PE hop), an acknowledge, a
-  /// function-unit release, or a composite FIFO's internal traversal — a
+  /// function-unit release, or a composite FIFO's internal traversal — the
   /// time wheel must span it without aliasing.  Injected delays widen it
   /// like settleWindow().
   std::int64_t wakeHorizon() const {
@@ -461,11 +520,282 @@ struct EngineBase {
                    cfg.routeDelay + cfg.interPeDelay) +
            inj.maxExtraDelay() + fifoSlack();
   }
+
+  // --- run control ----------------------------------------------------------
+
+  /// The run-length cap: maxInstructionTimes tightens maxCycles when set.
+  std::int64_t capCycles() const {
+    return opts.maxInstructionTimes > 0
+               ? std::min(opts.maxInstructionTimes, opts.maxCycles)
+               : opts.maxCycles;
+  }
+
+  /// Idle window after which the machine is declared stuck: the natural
+  /// settle window, or the caller's watchdog if that is longer.
+  std::int64_t idleWindow() const {
+    return opts.watchdog > 0 ? std::max(settleWindow(), opts.watchdog)
+                             : settleWindow();
+  }
+
+  /// Deposits a snapshot into opts.checkpoints when one is due.  Runs at the
+  /// end of an examined step (after phase B and the lastFire_ update), which
+  /// is a materialized state boundary even under the compiled scheduler's
+  /// fast-forward (the jump completes before the capture).
+  void maybeCheckpoint() {
+    if (now < nextCkpt_) return;
+    opts.checkpoints->add(capture(*this, schedLabel));
+    nextCkpt_ = now + opts.checkpointEvery;
+  }
+
+  /// Aborts with run::DeadlineError once the wall-clock budget is spent.
+  /// Sampled every 256 examined steps so the clock read stays off the hot
+  /// path.
+  void checkDeadline() {
+    if (opts.deadlineMicros <= 0 || (++ddlTick_ & 255u) != 0) return;
+    if (std::chrono::steady_clock::now() >= ddlAt_)
+      throw run::DeadlineError(now, opts.deadlineMicros);
+  }
+
+  [[noreturn]] void throwStall(const char* why) {
+    std::vector<guard::OutputProgress> progress;
+    for (std::size_t i = 0; i < stop.size(); ++i)
+      progress.push_back({stop.name(i), stop.want(i), stop.have(i)});
+    throw run::StallError(
+        now, guard::diagnoseStall(why, lowered, eg, slots.data(),
+                                  cellDyn.data(), now, progress, inj.counters));
+  }
+
+  /// Quiescence: the idle window passed with no firing.  Completion is
+  /// judged by the stop condition; an incomplete run is a deadlock.
+  void quiesce() {
+    result.completed = stop.quiescentOk();
+    if (result.completed) return;
+    if (opts.watchdog > 0)
+      throwStall("watchdog: no cell fired within the idle window");
+    result.note = "deadlock: outputs incomplete";
+  }
+
+  void finish() {
+    if (!result.completed && opts.maxInstructionTimes > 0 &&
+        now >= capCycles() && !stop.quiescentOk())
+      throwStall("instruction-time cap reached with outputs incomplete");
+    if (now >= opts.maxCycles) result.note = "maxCycles exceeded";
+    result.faults = inj.counters;
+    result.cycles = now;
+    result.fuBusy = fu.busy();
+    if (router.active()) result.pePackets = router.pePackets();
+    result.outputs = std::move(outputs);
+    result.outputTimes = std::move(outputTimes);
+    result.amFinal = std::move(amFinal);
+    result.firings = std::move(firings);
+    result.totalFirings = totalFirings;
+    result.packets = packets;
+  }
+
+  /// Original schedule: rescan all cells each instruction time with rotating
+  /// priority for fairness under FU contention.
+  void runSynchronous() {
+    const std::size_t n = eg.size();
+    std::vector<std::uint32_t> toFire;
+    toFire.reserve(n);
+    const std::int64_t window = idleWindow();
+    const std::int64_t floorTime = inj.quiesceFloor();
+    const std::int64_t cap = capCycles();
+    std::int64_t idle = 0;
+    std::int64_t first = 0;
+    if (opts.restoreFrom) {
+      // State was seeded by restore(); resume at the next step with the idle
+      // counter the uninterrupted run would carry there.
+      first = now + 1;
+      idle = now - lastFire_;
+      if (stop.outputsComplete()) {  // snapshot taken at the final boundary
+        result.completed = true;
+        now = first;
+        finish();
+        return;
+      }
+    }
+
+    for (now = first; now < cap; ++now) {
+      checkDeadline();
+      toFire.clear();
+      const std::size_t start =
+          n == 0 ? 0 : static_cast<std::size_t>(now) % n;
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto id = static_cast<std::uint32_t>((start + k) % n);
+        if (!enabled(id)) continue;
+        const dfg::FuClass fc = eg.cell(id).fu;
+        if (const std::int64_t until = inj.outageUntil(fc, now); until > now) {
+          probe.denied(id, now, until);
+          continue;
+        }
+        if (!fu.tryGrant(fc, now)) {
+          probe.denied(id, now, fu.nextFree(fc));
+          continue;
+        }
+        toFire.push_back(id);
+      }
+      for (std::uint32_t id : toFire) fire(id);
+
+      if (!toFire.empty()) lastFire_ = now;
+      maybeCheckpoint();
+      if (stop.outputsComplete()) {
+        result.completed = true;
+        ++now;
+        break;
+      }
+      idle = toFire.empty() ? idle + 1 : 0;
+      if (idle > window && now >= floorTime) {
+        quiesce();
+        break;
+      }
+    }
+    finish();
+  }
+
+  /// Event-driven schedule: advance directly to the next instruction time
+  /// with a woken cell; candidates are examined in the same rotating order
+  /// the rescan would use, so the two loops stay bit-identical.
+  ///
+  /// `afterStep(toFire)` runs once per examined instruction time, after
+  /// phase B (and the lastFire_ update) and before the completion check.
+  /// The hook may mutate the whole engine — including `now` and the wheel —
+  /// which is exactly what the compiled scheduler's fast-forward does; the
+  /// plain event-driven run passes a no-op that the compiler erases.
+  template <class StepHook>
+  void runEventLoop(StepHook&& afterStep) {
+    const std::size_t n = eg.size();
+    const std::int64_t window = idleWindow();
+    const std::int64_t floorTime = inj.quiesceFloor();
+    const std::int64_t cap = capCycles();
+    const std::int64_t hzn = wakeHorizon();
+    queue.emplace(n, hzn);
+    if (opts.restoreFrom) {
+      // State was seeded by restore() (now / lastFire_ included); rebuild
+      // the wake set from it instead of capturing wheels in snapshots — see
+      // engine_snapshot.hpp for why that reconstruction is exact.
+      seedRestoreWakes(eg, slots.data(), cellDyn.data(), fifoDyn.data(),
+                       fifoTiming(), now, hzn,
+                       [this](std::uint32_t c, std::int64_t at) {
+                         wake(c, at);
+                       });
+      if (stop.outputsComplete()) {  // snapshot taken at the final boundary
+        result.completed = true;
+        ++now;
+        queue.reset();
+        finish();
+        return;
+      }
+    } else {
+      for (std::uint32_t c = 0; c < n; ++c) wake(c, 0);
+      lastFire_ = -1;  // so the first quiescence break lands at `settle`,
+                       // like an all-idle rescan
+    }
+
+    std::vector<std::uint32_t> cand;
+    std::vector<std::uint32_t> ordered;
+    std::vector<std::uint32_t> toFire;
+    cand.reserve(n);
+    ordered.reserve(n);
+    toFire.reserve(n);
+    std::vector<std::int64_t> candAt(n, -1);  ///< stamp for dense ordering
+    for (;;) {
+      checkDeadline();
+      const std::int64_t tQuiesce =
+          std::max(lastFire_, floorTime) + window + 1;
+      if (queue->empty() || queue->nextTime() > tQuiesce) {
+        // Nothing can fire before the idle counter trips.
+        if (tQuiesce >= cap) {
+          now = cap;
+          break;
+        }
+        now = tQuiesce;
+        quiesce();
+        break;
+      }
+      if (queue->nextTime() >= cap) {
+        now = cap;
+        break;
+      }
+      now = queue->pop(cand);
+
+      // Rotating priority: same scan order as the rescan starting at now % n.
+      const std::uint32_t start =
+          static_cast<std::uint32_t>(static_cast<std::size_t>(now) % n);
+      if (cand.size() * 8 >= n) {
+        // Dense step: stamp the candidates and collect them by one pass in
+        // rotation order — cheaper than sorting when most cells are awake.
+        for (std::uint32_t id : cand) candAt[id] = now;
+        ordered.clear();
+        for (std::size_t k = 0; k < n; ++k) {
+          const auto id = static_cast<std::uint32_t>(
+              (start + k) % static_cast<std::uint32_t>(n));
+          if (candAt[id] == now) ordered.push_back(id);
+        }
+        cand.swap(ordered);
+      } else {
+        std::sort(cand.begin(), cand.end(),
+                  [start, n](std::uint32_t a, std::uint32_t b) {
+                    const std::uint32_t ra =
+                        a >= start ? a - start
+                                   : a + static_cast<std::uint32_t>(n) - start;
+                    const std::uint32_t rb =
+                        b >= start ? b - start
+                                   : b + static_cast<std::uint32_t>(n) - start;
+                    return ra < rb;
+                  });
+      }
+      // Phase A: enabling + FU grants against start-of-cycle state.
+      toFire.clear();
+      for (std::uint32_t id : cand) {
+        if (!enabled(id)) continue;
+        const dfg::FuClass fc = eg.cell(id).fu;
+        if (const std::int64_t until = inj.outageUntil(fc, now); until > now) {
+          // Denied by a transient outage: retry at its end (chained through
+          // the wheel horizon when the outage outlasts it).
+          probe.denied(id, now, until);
+          wake(id, std::min(until, now + hzn));
+          continue;
+        }
+        if (fu.tryGrant(fc, now)) {
+          toFire.push_back(id);
+        } else {
+          const std::int64_t freeAt = fu.nextFree(fc);
+          probe.denied(id, now, freeAt);
+          wake(id, freeAt);  // retry when a unit frees
+        }
+      }
+      // Phase B: apply.
+      for (std::uint32_t id : toFire) fire(id);
+
+      if (!toFire.empty()) lastFire_ = now;
+      afterStep(toFire);
+      maybeCheckpoint();
+      if (stop.outputsComplete()) {
+        result.completed = true;
+        ++now;
+        break;
+      }
+    }
+    queue.reset();
+    finish();
+  }
+
+  void runEventDriven() {
+    runEventLoop([](const std::vector<std::uint32_t>&) {});
+  }
 };
+
+/// SchedulerKind::Compiled driver (machine/engine_compiled.cpp): computes
+/// the sched::SteadySchedule IR, runs the event loop with a steady-state
+/// detector hooked in, and fast-forwards whole periods when it can.  Fills
+/// e.result (including result.compiled) exactly like runEventDriven fills
+/// the shared fields.
+void runCompiled(Engine& e);
 
 /// Trace naming/grouping for a run of `lowered`: graph names and FU classes,
 /// plus the Placement's PE assignment when the run has one.  Shared by the
-/// three simulate entry points so every scheduler labels cells identically.
+/// simulate entry points so every scheduler labels cells identically.
 inline obs::TraceMeta traceMetaFor(const dfg::Graph& lowered,
                                    const RunOptions& opts) {
   obs::TraceMeta m = obs::TraceMeta::of(lowered);
@@ -481,13 +811,5 @@ MachineResult simulateReference(const dfg::Graph& lowered,
                                 const MachineConfig& cfg,
                                 const run::StreamMap& inputs,
                                 const RunOptions& opts);
-
-/// The sharded event-driven scheduler (machine/engine_parallel.cpp);
-/// reached through simulate() with SchedulerKind::ParallelEventDriven.
-MachineResult simulateParallel(const dfg::Graph& lowered,
-                               const exec::ExecutableGraph& eg,
-                               const MachineConfig& cfg,
-                               const run::StreamMap& inputs,
-                               const RunOptions& opts);
 
 }  // namespace valpipe::machine::detail

@@ -11,7 +11,7 @@
 // included, and each hook is a null test when the run carries no plan or
 // guard config — and the composite-FIFO firing rule, which the oracle must
 // implement so fused graphs stay cross-checkable; it mirrors
-// EngineBase::fireFifo over exec::FifoState and is inert on expanded
+// Engine::fireFifo over exec::FifoState and is inert on expanded
 // graphs.)
 #include <algorithm>
 #include <chrono>
@@ -80,7 +80,7 @@ struct ReferenceEngine {
   /// (cell i of the flattening is node i of `g`); built lazily.
   std::optional<exec::ExecutableGraph> egv;
   std::optional<guard::State> gst;
-  /// Checkpoint / restore / deadline plumbing (mirrors SingleEngine's).
+  /// Checkpoint / restore / deadline plumbing (mirrors detail::Engine's).
   std::int64_t lastFire_ = -1;
   std::int64_t nextCkpt_ = std::numeric_limits<std::int64_t>::max();
   std::chrono::steady_clock::time_point ddlAt_{};
@@ -90,7 +90,7 @@ struct ReferenceEngine {
   ReferenceEngine(const Graph& graph, const MachineConfig& config,
                   const run::StreamMap& in, const RunOptions& o)
       : g(graph), cfg(config), wiring(graph), inputs(in), opts(o) {
-    inj = fault::Injector(opts.faults, 0);
+    inj = fault::Injector(opts.faults);
     fifo.resize(g.size());
     for (NodeId id : g.ids()) {
       const Node& n = g.node(id);
@@ -229,7 +229,7 @@ struct ReferenceEngine {
     if (cs.busyUntil > now) return false;
 
     if (isComposite(n)) {
-      // Phase-A decision caching, exactly as EngineBase::enabled: phase B
+      // Phase-A decision caching, exactly as Engine::enabled: phase B
       // must act on the decision made against start-of-cycle state, or an
       // emit that frees this cell's input could enable an accept in the
       // same instruction time (impossible for the expanded chain).
@@ -315,7 +315,7 @@ struct ReferenceEngine {
       const std::uint32_t gslot = guardSlot(d.consumer, d.port);
       grd.onSend(id.index, gslot, now);
       // A dropped result still occupies the slot (the producer must stay
-      // blocked) but never becomes ready; see EngineBase::deliver.
+      // blocked) but never becomes ready; see Engine::deliver.
       if (inj.dropResult()) at = fault::kLostPacket;
       const int copies = inj.dupResult() ? 2 : 1;
       for (int k = 0; k < copies; ++k) {
@@ -332,7 +332,7 @@ struct ReferenceEngine {
 
   /// Phase B for a composite FIFO cell: emit from the ring (counted as the
   /// firing) then accept into it, per the cached phase-A decision.  Mirrors
-  /// EngineBase::fireFifo.
+  /// Engine::fireFifo.
   void fireFifo(NodeId id, const Node& n) {
     exec::FifoState& f = fifo[id.index];
     VALPIPE_CHECK_MSG(f.decidedAt == now,
@@ -543,7 +543,7 @@ struct ReferenceEngine {
       s.guardDelivered = gst->delivered;
       s.guardConsumed = gst->consumed;
     }
-    if (inj.active()) s.rngLanes = {inj.rngState()};
+    if (inj.active()) s.rngState = inj.rngState();
     s.faultCounters = inj.counters;
     s.clean = detail::scanClean(s.slots);
     return s;
@@ -609,7 +609,7 @@ struct ReferenceEngine {
       gst->delivered = s.guardDelivered;
       gst->consumed = s.guardConsumed;
     }
-    if (inj.active() && !s.rngLanes.empty()) inj.setRngState(s.rngLanes[0]);
+    if (inj.active() && s.rngState) inj.setRngState(*s.rngState);
     inj.counters = s.faultCounters;
     now = s.now;
     lastFire_ = s.lastFire;
@@ -727,9 +727,9 @@ MachineResult detail::simulateReference(const dfg::Graph& lowered,
                                         const RunOptions& opts) {
   ReferenceEngine engine(lowered, cfg, inputs, opts);
   if (opts.restoreFrom) engine.restore(*opts.restoreFrom);
-  if (opts.trace) opts.trace->begin(1, detail::traceMetaFor(lowered, opts));
-  if (opts.metrics) opts.metrics->begin(1, lowered.size());
-  engine.probe = obs::LaneProbe(opts.trace, opts.metrics, 0);
+  if (opts.trace) opts.trace->begin(detail::traceMetaFor(lowered, opts));
+  if (opts.metrics) opts.metrics->begin(lowered.size());
+  engine.probe = obs::LaneProbe(opts.trace, opts.metrics);
   engine.run();
   if (opts.metrics)
     opts.metrics->finishRun("Reference", engine.result.cycles,

@@ -1,17 +1,17 @@
-// Checkpoint capture / restore of the single-threaded engine lane.
+// Checkpoint capture / restore of the flattened engine.
 //
 // Capture runs at a step boundary (after phase B of step `now`) and flattens
-// the lane into the scheduler-portable recover::Snapshot; restore is its
-// exact inverse over a freshly constructed lane.  The wake-set reseeding
+// the engine into the scheduler-portable recover::Snapshot; restore is its
+// exact inverse over a freshly constructed engine.  The wake-set reseeding
 // that completes a restore lives in engine_snapshot.hpp (seedRestoreWakes)
 // because the run loops own the wheel.
 #include "machine/engine_snapshot.hpp"
 
-#include "machine/engine_single.hpp"
+#include "machine/engine_impl.hpp"
 
 namespace valpipe::machine::detail {
 
-recover::Snapshot captureSingle(const SingleEngine& e, const char* origin) {
+recover::Snapshot capture(const Engine& e, const char* origin) {
   recover::Snapshot s;
   s.cells = e.eg.size();
   s.slotCount = e.eg.slotCount();
@@ -50,13 +50,13 @@ recover::Snapshot captureSingle(const SingleEngine& e, const char* origin) {
     s.guardDelivered = e.gst->delivered;
     s.guardConsumed = e.gst->consumed;
   }
-  if (e.inj.active()) s.rngLanes = {e.inj.rngState()};
+  if (e.inj.active()) s.rngState = e.inj.rngState();
   s.faultCounters = e.inj.counters;
   s.clean = scanClean(s.slots);
   return s;
 }
 
-void restoreSingle(SingleEngine& e, const recover::Snapshot& s) {
+void restore(Engine& e, const recover::Snapshot& s) {
   VALPIPE_CHECK_MSG(
       s.cells == e.eg.size() && s.slotCount == e.eg.slotCount() &&
           s.slots.size() == s.slotCount && s.cellDyn.size() == s.cells,
@@ -110,7 +110,7 @@ void restoreSingle(SingleEngine& e, const recover::Snapshot& s) {
     e.gst->delivered = s.guardDelivered;
     e.gst->consumed = s.guardConsumed;
   }
-  if (e.inj.active() && !s.rngLanes.empty()) e.inj.setRngState(s.rngLanes[0]);
+  if (e.inj.active() && s.rngState) e.inj.setRngState(*s.rngState);
   e.inj.counters = s.faultCounters;
 
   e.now = s.now;

@@ -8,9 +8,9 @@
 // complete dynamic state, flattened the way the engines already flatten it
 // (exec::Slot / exec::CellDyn / exec::FifoState parallel arrays over the
 // ExecutableGraph's slot numbering); every scheduler — EventDriven,
-// Synchronous, Compiled, ParallelEventDriven, and the Reference oracle —
-// captures into and restores from this one format, so a snapshot taken under
-// one scheduler resumes under any other.
+// Synchronous, Compiled, and the Reference oracle — captures into and
+// restores from this one format, so a snapshot taken under one scheduler
+// resumes under any other.
 //
 // What is deliberately NOT captured: the time wheel.  Wake entries are
 // derivable from the materialized state (a full slot's readyAt wakes its
@@ -123,10 +123,9 @@ struct Snapshot {
   std::vector<std::int64_t> guardDelivered;
   std::vector<std::int64_t> guardConsumed;
 
-  // --- fault-injection lane state ---
-  /// splitmix64 decision-stream state per lane (one lane for the serial
-  /// engines, one per shard for the parallel one); empty when no plan.
-  std::vector<std::uint64_t> rngLanes;
+  // --- fault-injection state ---
+  /// splitmix64 decision-stream state; absent when the run had no plan.
+  std::optional<std::uint64_t> rngState;
   fault::Counters faultCounters;
 };
 
@@ -138,7 +137,9 @@ struct Snapshot {
 namespace detail {
 
 inline constexpr std::uint32_t kMagic = 0x4e535056;  // "VPSN"
-inline constexpr std::uint32_t kVersion = 1;
+/// Bumped on every change to the byte layout: older snapshots are refused,
+/// never misread.
+inline constexpr std::uint32_t kVersion = 2;
 
 struct Writer {
   std::string out;
@@ -354,9 +355,9 @@ inline std::string serialize(const Snapshot& s) {
     w.i64s(s.guardConsumed);
   }
 
-  w.u64s(s.rngLanes);
+  w.u8(s.rngState ? 1 : 0);
+  if (s.rngState) w.u64(*s.rngState);
   w.u64(s.faultCounters.delayedResults);
-  w.u64(s.faultCounters.skewedMessages);
   w.u64(s.faultCounters.outageDenials);
   w.u64(s.faultCounters.droppedResults);
   w.u64(s.faultCounters.duplicatedResults);
@@ -447,9 +448,8 @@ inline Snapshot deserialize(const void* data, std::size_t size) {
     s.guardConsumed = r.i64s();
   }
 
-  s.rngLanes = r.u64s();
+  if (r.u8() != 0) s.rngState = r.u64();
   s.faultCounters.delayedResults = r.u64();
-  s.faultCounters.skewedMessages = r.u64();
   s.faultCounters.outageDenials = r.u64();
   s.faultCounters.droppedResults = r.u64();
   s.faultCounters.duplicatedResults = r.u64();

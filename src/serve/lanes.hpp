@@ -14,9 +14,11 @@
 // replicated, so lane l of every pack is bit-identical to the value tenant
 // l's solo run computes.  Control must be lane-uniform — gates and merge
 // selectors driven by the compile-time control sequences (BoolSeq/IndexSeq)
-// are scalar and always uniform; data-dependent control diverges across
-// tenants and throws ValueError from Value::asBoolean, which callers treat
-// as "this program cannot be batched for these inputs — rerun solo".
+// are scalar and always uniform.  Data-dependent control could diverge
+// across tenants, so the server never batches such a program
+// (serve::inputSteersControl); should a divergent pack reach a boolean
+// context anyway, Value::asBoolean throws ValueError and the batch is rerun
+// solo.
 #pragma once
 
 #include <cstddef>

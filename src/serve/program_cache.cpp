@@ -1,6 +1,7 @@
 #include "serve/program_cache.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "core/phases.hpp"
 
@@ -22,6 +23,33 @@ std::shared_ptr<const CachedProgram> build(const std::string& source,
 }
 
 }  // namespace
+
+bool inputSteersControl(const exec::ExecutableGraph& eg) {
+  std::vector<bool> seen(eg.size(), false);
+  std::vector<std::uint32_t> work;
+  const auto visit = [&](std::uint32_t c) {
+    if (!seen[c]) {
+      seen[c] = true;
+      work.push_back(c);
+    }
+  };
+  for (std::uint32_t c = 0; c < eg.size(); ++c)
+    if (eg.cell(c).op == dfg::Op::Input) visit(c);
+  while (!work.empty()) {
+    const exec::Cell& cl = eg.cell(work.back());
+    work.pop_back();
+    for (const exec::Dest& d : eg.allDests(cl)) {
+      if (d.port == exec::kGatePort ||
+          (d.port == 0 && eg.cell(d.consumer).op == dfg::Op::Merge))
+        return true;
+      visit(d.consumer);
+    }
+    // A store extends the region its fetchers read.
+    if (cl.op == dfg::Op::AmStore)
+      for (std::uint32_t f : eg.fetchersOf(cl)) visit(f);
+  }
+  return false;
+}
 
 void ProgramCache::setCapacity(std::size_t capacity) {
   std::lock_guard<std::mutex> lk(mu_);

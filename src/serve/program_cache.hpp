@@ -11,7 +11,9 @@
 //   - the flattened exec::ExecutableGraph, built ONCE and shared read-only
 //     by every concurrent run (machine::simulate's prebuilt-graph overload);
 //   - the output stream name and per-wave packet count the stop condition
-//     needs.
+//     needs;
+//   - whether input data can steer control (inputSteersControl), which
+//     decides once whether the program's runs may be lane-batched.
 //
 // Concurrency contract: any number of threads may call get() for the same
 // key; exactly one of them compiles (the others block on a shared_future of
@@ -51,19 +53,27 @@ inline std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// True when a gate or merge control operand is reachable from an Input
+/// cell of `eg` (through result arcs and array-memory regions).  Lanes of
+/// one batch carry different tenants' inputs, so such a program's lanes may
+/// disagree on control, and a batched run of it would diverge.
+bool inputSteersControl(const exec::ExecutableGraph& eg);
+
 /// One resident compiled program, immutable after construction.
 struct CachedProgram {
   std::string source;            ///< full source (collision guard)
   core::CompileOptions options;  ///< normalized: lower forced on
   core::CompiledProgram program; ///< graph is machine-ready (lowered)
   exec::ExecutableGraph exec;    ///< flattened once, shared by all runs
+  bool dataDependentControl;     ///< inputSteersControl(exec): run solo
 
   CachedProgram(std::string src, const core::CompileOptions& opts,
                 core::CompiledProgram prog)
       : source(std::move(src)),
         options(opts),
         program(std::move(prog)),
-        exec(program.graph) {}
+        exec(program.graph),
+        dataDependentControl(inputSteersControl(exec)) {}
 
   const std::string& outputName() const { return program.outputName; }
   std::int64_t outputPerWave() const { return program.expectedOutputPerWave(); }

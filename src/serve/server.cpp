@@ -131,11 +131,14 @@ struct Server::RunUnit {
 
 namespace {
 
-/// A unit may ride in a multi-lane batch only when nothing about its run is
+/// A unit may ride in a multi-lane batch only when its lanes cannot disagree
+/// on control (decided once per cached program) and nothing about its run is
 /// observable per-tenant below the output level: faults, guards, and metrics
 /// all hook individual firings, and array memory is per-run state.
-bool batchable(const SessionOptions& o) {
-  return !o.hasFaults && !o.guards && !o.wantMetrics && o.amInitial.empty();
+bool batchable(const Session::State& st) {
+  const SessionOptions& o = st.opts;
+  return !st.prog->dataDependentControl && !o.hasFaults && !o.guards &&
+         !o.wantMetrics && o.amInitial.empty();
 }
 
 /// Two units can share an engine run: same resident program (same pointer —
@@ -554,11 +557,11 @@ void Server::workerLoop() {
       }
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
-      if (cfg_.laneWidth > 1 && batchable(batch.front().st->opts)) {
+      if (cfg_.laneWidth > 1 && batchable(*batch.front().st)) {
         for (auto it = queue_.begin();
              it != queue_.end() &&
              static_cast<int>(batch.size()) < cfg_.laneWidth;) {
-          if (!it->st->failed.load() && batchable(it->st->opts) &&
+          if (!it->st->failed.load() && batchable(*it->st) &&
               compatible(*batch.front().st, *it->st)) {
             batch.push_back(std::move(*it));
             it = queue_.erase(it);
@@ -701,10 +704,11 @@ void Server::execute(std::vector<RunUnit> batch) {
               static_cast<int>(batch.size()));
     return;
   } catch (const std::exception&) {
-    // Divergent control, a stall, or any other failure inside a shared run:
-    // no lane's outputs are trustworthy as a group, so rerun every member
-    // alone.  The poisoned tenant then fails with its own diagnosis and the
-    // innocent ones complete bit-identically to a never-batched run.
+    // A value error in one lane, a stall, or any other failure inside a
+    // shared run: no lane's outputs are trustworthy as a group, so rerun
+    // every member alone.  The poisoned tenant then fails with its own
+    // diagnosis and the innocent ones complete bit-identically to a
+    // never-batched run.
     std::lock_guard<std::mutex> lk(smu_);
     ++stats_.batchFallbacks;
   }

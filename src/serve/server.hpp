@@ -23,9 +23,12 @@
 //     run over lane-pack Values (serve/lanes.hpp): one firing carries B
 //     tenants' operands, amortizing the per-firing scheduling cost B ways.
 //     Lane l's outputs are bit-identical to that tenant's solo EventDriven
-//     run.  Data-divergent control (or any fault of one tenant's data) makes
-//     the batch fall back: every member is rerun solo, so one tenant's
-//     poison never corrupts or fails another's request.
+//     run.  A program whose gate or merge control depends on input data
+//     is never batched (the program cache decides this once from the
+//     graph), because its lanes could disagree on control.  Any other
+//     failure inside a batch (one tenant's value error, a stall) makes the
+//     batch fall back: every member is rerun solo, so one tenant's poison
+//     never corrupts or fails another's request.
 //
 //   * Per-request error reporting — a compile error, admission rejection,
 //     malformed request, engine stall (run::StallError with its per-cell
@@ -126,7 +129,7 @@ struct ServerStats {
   std::uint64_t runsExecuted = 0;   ///< engine runs (batched counts once)
   std::uint64_t batchedRuns = 0;    ///< runs with >= 2 lanes
   std::uint64_t lanesExecuted = 0;  ///< wave-runs served (batch members each)
-  std::uint64_t batchFallbacks = 0; ///< batches rerun solo (divergence/fault)
+  std::uint64_t batchFallbacks = 0; ///< batches rerun solo (a lane failed)
   std::uint64_t runsShed = 0;       ///< queued runs shed under overload
   std::uint64_t rateLimited = 0;    ///< opens refused by a tenant bucket
   std::uint64_t wavesRecovered = 0; ///< wave-runs that needed a retry

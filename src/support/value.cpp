@@ -1,6 +1,7 @@
 #include "support/value.hpp"
 
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -147,30 +148,54 @@ Value compare(const Value& a, const Value& b, FInt fi, FReal fr) {
 
 bool anyPack(const Value& a, const Value& b) { return a.isPack() || b.isPack(); }
 
+/// Integer overflow is an error like division by zero, never a wrapped (or
+/// undefined) result.
+[[noreturn]] void overflow(const char* op) {
+  throw ValueError(std::string("integer overflow in ") + op);
+}
+
+std::int64_t checkedAdd(std::int64_t x, std::int64_t y) {
+  std::int64_t r;
+  if (__builtin_add_overflow(x, y, &r)) overflow("+");
+  return r;
+}
+
+std::int64_t checkedSub(std::int64_t x, std::int64_t y) {
+  std::int64_t r;
+  if (__builtin_sub_overflow(x, y, &r)) overflow("-");
+  return r;
+}
+
+std::int64_t checkedMul(std::int64_t x, std::int64_t y) {
+  std::int64_t r;
+  if (__builtin_mul_overflow(x, y, &r)) overflow("*");
+  return r;
+}
+
 }  // namespace
 
 Value add(const Value& a, const Value& b) {
   if (anyPack(a, b)) return lanewise(a, b, &add);
-  return numeric(a, b, [](auto x, auto y) { return x + y; },
-                 [](double x, double y) { return x + y; });
+  return numeric(a, b, checkedAdd, [](double x, double y) { return x + y; });
 }
 
 Value sub(const Value& a, const Value& b) {
   if (anyPack(a, b)) return lanewise(a, b, &sub);
-  return numeric(a, b, [](auto x, auto y) { return x - y; },
-                 [](double x, double y) { return x - y; });
+  return numeric(a, b, checkedSub, [](double x, double y) { return x - y; });
 }
 
 Value mul(const Value& a, const Value& b) {
   if (anyPack(a, b)) return lanewise(a, b, &mul);
-  return numeric(a, b, [](auto x, auto y) { return x * y; },
-                 [](double x, double y) { return x * y; });
+  return numeric(a, b, checkedMul, [](double x, double y) { return x * y; });
 }
 
 Value div(const Value& a, const Value& b) {
   if (anyPack(a, b)) return lanewise(a, b, &div);
   if (a.isInteger() && b.isInteger()) {
     if (b.asInteger() == 0) throw ValueError("integer division by zero");
+    if (b.asInteger() == -1 &&
+        a.asInteger() == std::numeric_limits<std::int64_t>::min())
+      overflow("/");
     return Value(a.asInteger() / b.asInteger());
   }
   const double d = b.toReal();
@@ -180,13 +205,15 @@ Value div(const Value& a, const Value& b) {
 
 Value neg(const Value& a) {
   if (a.isPack()) return lanewise(a, &neg);
-  if (a.isInteger()) return Value(-a.asInteger());
+  if (a.isInteger()) return Value(checkedSub(0, a.asInteger()));
   return Value(-a.toReal());
 }
 
 Value abs(const Value& a) {
   if (a.isPack()) return lanewise(a, &abs);
-  if (a.isInteger()) return Value(a.asInteger() < 0 ? -a.asInteger() : a.asInteger());
+  if (a.isInteger())
+    return Value(a.asInteger() < 0 ? checkedSub(0, a.asInteger())
+                                   : a.asInteger());
   return Value(std::fabs(a.toReal()));
 }
 

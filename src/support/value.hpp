@@ -4,8 +4,10 @@
 // packet payload is one of the Val scalar types: boolean, integer, real.
 // `Value` is that payload.  Arithmetic follows Val semantics: integer ops stay
 // integral, mixed integer/real promotes to real, relational operators yield
-// booleans.  Division by zero and type confusion raise ValueError — the
-// simulators must never fold such an error into a bogus number.
+// booleans.  Division by zero, int64 overflow (including INT64_MIN / -1 and
+// the negation or absolute value of INT64_MIN) and type confusion raise
+// ValueError — the simulators must never fold such an error into a bogus
+// number.
 //
 // Lane packs.  A Value may also be a *pack* of B scalar lanes — the payload
 // currency of lane-batched serving (src/serve/): B independent tenants' data

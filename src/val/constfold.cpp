@@ -16,19 +16,26 @@ std::optional<std::int64_t> constEvalInt(
     case Expr::Kind::Unary: {
       if (e->uop != UnOp::Neg) return std::nullopt;
       auto v = constEvalInt(e->a, consts);
-      if (!v) return std::nullopt;
-      return -*v;
+      std::int64_t r;
+      if (!v || __builtin_sub_overflow(std::int64_t{0}, *v, &r))
+        return std::nullopt;
+      return r;
     }
     case Expr::Kind::Binary: {
       auto a = constEvalInt(e->a, consts);
       auto b = constEvalInt(e->b, consts);
       if (!a || !b) return std::nullopt;
+      // An overflowing constant is not a constant (never a wrapped one).
+      std::int64_t r;
+      bool overflow;
       switch (e->bop) {
-        case BinOp::Add: return *a + *b;
-        case BinOp::Sub: return *a - *b;
-        case BinOp::Mul: return *a * *b;
+        case BinOp::Add: overflow = __builtin_add_overflow(*a, *b, &r); break;
+        case BinOp::Sub: overflow = __builtin_sub_overflow(*a, *b, &r); break;
+        case BinOp::Mul: overflow = __builtin_mul_overflow(*a, *b, &r); break;
         default: return std::nullopt;
       }
+      if (overflow) return std::nullopt;
+      return r;
     }
     default:
       return std::nullopt;

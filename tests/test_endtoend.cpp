@@ -112,5 +112,30 @@ TEST(EndToEnd, MultipleWavesStreamThrough) {
   checkMachine(prog, in, ref.result.elems, 0.0, /*waves=*/3);
 }
 
+// Integer overflow is an error on every path, never a wrapped number: with
+// A[i] = 1, A[i] * 2^62 + 2^62 = 2^63 does not fit in int64.
+TEST(EndToEnd, IntegerOverflowIsAnErrorOnEvaluatorAndMachine) {
+  const std::string src = R"(const m = 4
+function f(A: array[integer] [1, m] returns array[integer])
+  forall i in [1, m]
+  construct A[i] * 4611686018427387904 + 4611686018427387904
+  endall
+endfun
+)";
+  const val::Module mod = core::frontend(src);
+  val::ArrayMap in;
+  in["A"].lo = 1;
+  in["A"].elems = {Value(0), Value(-1), Value(1), Value(0)};
+  EXPECT_THROW(val::evaluate(mod, in), ValueError);
+
+  const core::CompiledProgram prog = core::compile(mod);
+  machine::RunOptions opts;
+  opts.scheduler = machine::SchedulerKind::EventDriven;
+  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
+  EXPECT_THROW(machine::simulate(prog.graph, machine::MachineConfig::unit(),
+                                 testing::inputsFor(prog, in), opts),
+               ValueError);
+}
+
 }  // namespace
 }  // namespace valpipe

@@ -209,12 +209,10 @@ TEST_P(FusionEquivalence, FusedBitIdenticalAcrossSchedulersAndMatchesExpanded) {
     ASSERT_TRUE(ref.completed) << ref.note;
     for (const SchedulerKind kind :
          {SchedulerKind::EventDriven, SchedulerKind::Synchronous,
-          SchedulerKind::ParallelEventDriven}) {
+          SchedulerKind::Compiled}) {
       opts.scheduler = kind;
-      opts.threads = kind == SchedulerKind::ParallelEventDriven ? 3 : 0;
       const MachineResult got = machine::simulate(fused, cfg, streams, opts);
       testing::expectIdentical(got, ref, "fused scheduler equivalence");
-      opts.threads = 0;
     }
 
     opts.scheduler = SchedulerKind::Reference;
@@ -228,6 +226,74 @@ TEST_P(FusionEquivalence, FusedBitIdenticalAcrossSchedulersAndMatchesExpanded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusionEquivalence, ::testing::Range(0, 12));
+
+// A generated four-block program (Todd scheme) whose fused lowering once
+// deadlocked on EventDriven and Compiled after 11 of 32 outputs, while
+// Synchronous, Reference and the expanded lowering completed in 162
+// instruction times.  The cause was a wake into the past from the composite
+// FIFO's maturation rule: a head token that matured while its destinations
+// were full re-woke its cell at the (past) maturation time, pulling the
+// time wheel's cursor back so that cells were examined before their
+// operands arrived and their real wakes were spent.  The hang does not
+// depend on the input values.
+constexpr const char* kFusedDeadlockSource = R"(const m = 32
+function gen(P0, P1: array[real] [0, m+1] returns array[real])
+  let
+    V0 : array[real] [1, m] := forall i in [1, m]
+      Q : real := (if i < 19 then (if P0[i+1] > 0.5 then (((1.25 - (0.1 * i)) - (P0[i] - 1.25)) / 2.) else (if P1[i+1] > 0.5 then (if P0[i] > 0.5 then (0.1 * i) else 0.75 endif) else (if i < 13 then P1[i] else 1.75 endif) endif) endif) else (if i < 13 then ((((0.25 - (0.1 * i)) / 2.) + (if i < 14 then 1.75 else 1.25 endif)) * 0.5) else ((if P0[i-1] > 0.5 then P0[i-1] else 1.75 endif) + (if i < 23 then (0.1 * i) else P0[i] endif)) endif) endif);
+      construct (Q + ((if P1[i+1] > 0.5 then ((0.1 * i) - P1[i]) else (1.75 + 1.25) endif) - (if P0[i+1] > 0.5 then (if i < 2 then (0.1 * i) else 0.25 endif) else (1.25 - (0.1 * i)) endif))) endall;
+    V1 : array[real] [1, m] := forall i in [1, m]
+      Q : real := (((if P0[i+1] > 0.5 then (if P0[i] > 0.5 then ((V0[i] - (0.1 * i)) / 2.) else ((P1[i] + 1.25) * 0.5) endif) else ((if i < 19 then V0[i] else P0[i] endif) - ((P1[i+1] + 1.75) * 0.5)) endif) + ((((if i < 29 then (0.1 * i) else 1.75 endif) + (if i < 3 then 0.25 else P0[i-1] endif)) + ((if P0[i] > 0.5 then 0.25 else V0[i] endif) + (P0[i+1] - (0.1 * i)))) * 0.5)) * 0.5);
+      construct (V0[i] + Q + (if P0[i] > 0.5 then ((P0[i-1] + P1[i-1]) - ((0.25 - (0.1 * i)) / 2.)) else (if P1[i-1] > 0.5 then ((0.25 + P0[i+1]) * 0.5) else (if i < 29 then P0[i+1] else (0.1 * i) endif) endif) endif)) endall;
+    V2 : array[real] [0, m] := for i : integer := 1; T : array[real] := [0: 0.5]
+      do let P : real := ((0.3 * P1[i+1]) * T[i-1] + V1[i] + ((((P1[i+1] + 1.75) + (0.75 - P1[i-1])) * 0.5) + (if P1[i-1] > 0.5 then (P0[i+1] + P1[i]) else (if P1[i] > 0.5 then V0[i] else (0.1 * i) endif) endif)))
+         in if i < m + 1 then iter T := T[i: P]; i := i + 1 enditer
+            else T endif endlet endfor;
+    V3 : array[real] [1, m] := forall i in [1, m]
+      construct (V2[i] + ((if i < 26 then (if i < 5 then ((1.75 + P0[i]) * 0.5) else ((1.25 + 1.25) * 0.5) endif) else ((if i < 30 then 1.75 else P1[i+1] endif) - ((P1[i+1] - V0[i]) / 2.)) endif) - (((((P1[i] + V1[i]) * 0.5) - ((P1[i+1] - (0.1 * i)) / 2.)) / 2.) + (if i < 12 then (V0[i] + (0.1 * i)) else (V2[i] + (0.1 * i)) endif)))) endall
+  in V3 endlet
+endfun
+)";
+
+TEST(FusedFifoRegression, GeneratedToddProgramCompletesOnEveryScheduler) {
+  const val::Module mod = core::frontend(kFusedDeadlockSource);
+  run::StreamMap streams;
+  for (const val::Param& prm : mod.params)
+    streams[prm.name].assign(
+        static_cast<std::size_t>(prm.type.range->length()), Value(0.25));
+
+  std::vector<MachineResult> refs;
+  for (const bool fuse : {true, false}) {
+    CompileOptions co;
+    co.lower = true;
+    co.fuseFifos = fuse;
+    co.forIterScheme = core::ForIterScheme::Todd;
+    const auto prog = core::compile(mod, co);
+    ASSERT_EQ(fifoNodeCount(prog.graph) > 0, fuse);
+    RunOptions opts;
+    opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
+    opts.scheduler = SchedulerKind::Reference;
+    const MachineResult ref = machine::simulate(
+        prog.graph, MachineConfig::unit(), streams, opts);
+    const std::string lowering = fuse ? "fused" : "expanded";
+    ASSERT_TRUE(ref.completed) << lowering << ": " << ref.note;
+    EXPECT_EQ(ref.cycles, 162) << lowering;
+    const std::pair<SchedulerKind, const char*> kinds[] = {
+        {SchedulerKind::EventDriven, "event-driven"},
+        {SchedulerKind::Synchronous, "synchronous"},
+        {SchedulerKind::Compiled, "compiled"}};
+    for (const auto& [kind, name] : kinds) {
+      opts.scheduler = kind;
+      const MachineResult got = machine::simulate(
+          prog.graph, MachineConfig::unit(), streams, opts);
+      testing::expectIdentical(got, ref, lowering + " " + name);
+    }
+    refs.push_back(ref);
+  }
+  // The fused graph is the expanded one at the outputs.
+  EXPECT_EQ(refs[0].outputs, refs[1].outputs);
+  EXPECT_EQ(refs[0].outputTimes, refs[1].outputTimes);
+}
 
 TEST(FuseFifos, AuditorCertifiesFusedGraphAtRateHalf) {
   const int m = 128;

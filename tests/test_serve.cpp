@@ -197,15 +197,16 @@ TEST(Serve, FaultedSessionFailsAloneCleanOnesComplete) {
 TEST(Serve, DivergentControlFallsBackToSoloRunsCorrectly) {
   serve::ServerConfig cfg;
   cfg.laneWidth = 4;
-  cfg.batchWindowMicros = 20'000;  // wide window so the batch reliably forms
+  cfg.batchWindowMicros = 20'000;  // wide window: a batch would form
   serve::Server server(cfg);
 
   const std::string src = condSource(8);
   const auto prog = core::compileSource(src, copts());
 
-  // Tenants whose C signs differ: the `C[i] > 0.` gate control diverges
-  // across lanes, so a fused batch cannot run — it must fall back to solo
-  // reruns and still produce every tenant's exact outputs.
+  // Tenants whose C signs differ: the `C[i] > 0.` gate control would
+  // diverge across lanes.  The cache sees the input-driven gate when it
+  // builds the entry, so the program runs solo from the start — no batch
+  // is formed, none falls back — and every tenant gets its exact outputs.
   constexpr int kN = 4;
   std::vector<run::StreamMap> inputs;
   for (int i = 0; i < kN; ++i) {
@@ -218,22 +219,51 @@ TEST(Serve, DivergentControlFallsBackToSoloRunsCorrectly) {
     futs.push_back(
         server.submit(src, copts(), inputs[static_cast<std::size_t>(i)]));
 
-  bool anyRerun = false;
   for (int i = 0; i < kN; ++i) {
     const serve::Response r = futs[static_cast<std::size_t>(i)].get();
     ASSERT_TRUE(r.ok()) << serve::toString(r.status) << ": " << r.error;
     EXPECT_EQ(r.outputs.at(prog.outputName),
               directRun(prog, inputs[static_cast<std::size_t>(i)])
                   .at(prog.outputName))
-        << "tenant " << i << " corrupted by the fallback path";
-    anyRerun = anyRerun || r.stats.soloReruns > 0;
+        << "tenant " << i;
+    EXPECT_EQ(r.stats.maxLanes, 1) << "tenant " << i;
+    EXPECT_EQ(r.stats.soloReruns, 0) << "tenant " << i;
   }
-  // The fallback actually happened (a batch formed and then diverged).
   const serve::ServerStats st = server.stats();
-  if (st.batchedRuns > 0) {
-    EXPECT_GE(st.batchFallbacks, 1u);
-    EXPECT_TRUE(anyRerun);
+  EXPECT_EQ(st.batchedRuns, 0u);
+  EXPECT_EQ(st.batchFallbacks, 0u);
+  server.shutdown();
+}
+
+TEST(Serve, IndexDrivenControlStillBatches) {
+  serve::ServerConfig cfg;
+  cfg.laneWidth = 4;
+  cfg.batchWindowMicros = 50'000;
+  serve::Server server(cfg);
+
+  // Example 1 (Fig. 6): its boundary gates test the index, never the data,
+  // so every lane agrees on control and tenants share engine runs.
+  const std::string src = testing::example1Source(8);
+  const auto prog = core::compileSource(src, copts());
+  constexpr int kN = 4;
+  std::vector<run::StreamMap> inputs;
+  for (int i = 0; i < kN; ++i)
+    inputs.push_back(tenantInputs(prog, 700u + unsigned(i)));
+  std::vector<std::future<serve::Response>> futs;
+  for (int i = 0; i < kN; ++i)
+    futs.push_back(
+        server.submit(src, copts(), inputs[static_cast<std::size_t>(i)]));
+  for (int i = 0; i < kN; ++i) {
+    const serve::Response r = futs[static_cast<std::size_t>(i)].get();
+    ASSERT_TRUE(r.ok()) << serve::toString(r.status) << ": " << r.error;
+    EXPECT_EQ(r.outputs.at(prog.outputName),
+              directRun(prog, inputs[static_cast<std::size_t>(i)])
+                  .at(prog.outputName))
+        << "tenant " << i;
   }
+  const serve::ServerStats st = server.stats();
+  EXPECT_GT(st.batchedRuns, 0u);
+  EXPECT_EQ(st.batchFallbacks, 0u);
   server.shutdown();
 }
 

@@ -98,6 +98,27 @@ TEST(ServeCache, CachedProgramIsMachineReady) {
   EXPECT_TRUE(res.completed) << res.note;
 }
 
+TEST(ServeCache, EntryRecordsWhetherInputsSteerControl) {
+  ProgramCache cache;
+  // Example 1's boundary gates and Example 2's loop merges are driven by
+  // index and counter sequences; the Fig. 5 conditional gates on an input.
+  const std::string cond = R"(const m = 8
+function cond(A, B, C: array[real] [1, m] returns array[real])
+  forall i in [1, m]
+  construct if C[i] > 0. then -(A[i] + B[i])
+            else 5. * (A[i] * B[i] + 2.) endif
+  endall
+endfun
+)";
+  for (bool fuse : {true, false}) {
+    EXPECT_FALSE(
+        cache.get(testing::example1Source(8), opts(fuse))->dataDependentControl);
+    EXPECT_FALSE(
+        cache.get(testing::example2Source(8), opts(fuse))->dataDependentControl);
+    EXPECT_TRUE(cache.get(cond, opts(fuse))->dataDependentControl);
+  }
+}
+
 TEST(ServeCache, ConcurrentLookupsCompileExactlyOnce) {
   ProgramCache cache;
   const std::string src = testing::example1Source(32);

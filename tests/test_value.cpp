@@ -1,6 +1,8 @@
 // Unit tests for the Value scalar type and its operation set.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/value.hpp"
 
 namespace valpipe {
@@ -83,6 +85,50 @@ TEST(ValueOps, NegAbsMinMax) {
   EXPECT_EQ(ops::min(Value(3), Value(5)), Value(3));
   EXPECT_EQ(ops::max(Value(3), Value(5)), Value(5));
   EXPECT_DOUBLE_EQ(ops::max(Value(3), Value(5.5)).asReal(), 5.5);
+}
+
+TEST(ValueOps, IntegerOverflowThrows) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_THROW(ops::add(Value(kMax), Value(1)), ValueError);
+  EXPECT_THROW(ops::add(Value(kMin), Value(-1)), ValueError);
+  EXPECT_THROW(ops::sub(Value(kMin), Value(1)), ValueError);
+  EXPECT_THROW(ops::sub(Value(0), Value(kMin)), ValueError);
+  EXPECT_THROW(ops::mul(Value(std::int64_t{1} << 62), Value(2)), ValueError);
+  EXPECT_THROW(ops::mul(Value(kMin), Value(-1)), ValueError);
+  EXPECT_THROW(ops::neg(Value(kMin)), ValueError);
+  EXPECT_THROW(ops::abs(Value(kMin)), ValueError);
+  EXPECT_THROW(ops::div(Value(kMin), Value(-1)), ValueError);
+  // The edges themselves are representable and stay exact.
+  EXPECT_EQ(ops::add(Value(kMax - 1), Value(1)), Value(kMax));
+  EXPECT_EQ(ops::sub(Value(kMin + 1), Value(1)), Value(kMin));
+  EXPECT_EQ(ops::mul(Value(std::int64_t{1} << 62), Value(-2)), Value(kMin));
+  EXPECT_EQ(ops::neg(Value(kMax)), Value(kMin + 1));
+  EXPECT_EQ(ops::abs(Value(kMin + 1)), Value(kMax));
+  EXPECT_EQ(ops::div(Value(kMin), Value(1)), Value(kMin));
+  EXPECT_EQ(ops::div(Value(kMax), Value(-1)), Value(kMin + 1));
+  EXPECT_EQ(ops::mod(Value(kMin), Value(3)), Value(1));
+  // Real arithmetic keeps IEEE semantics.
+  EXPECT_DOUBLE_EQ(ops::mul(Value(1e308), Value(10.0)).asReal(),
+                   std::numeric_limits<double>::infinity());
+}
+
+TEST(ValueOps, IntegerOverflowThrowsInAnyPackLane) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const Value safe = Value::pack({Value(1), Value(2), Value(3)});
+  const Value edge = Value::pack({Value(1), Value(kMax), Value(3)});
+  EXPECT_EQ(ops::add(safe, Value(1)),
+            Value::pack({Value(2), Value(3), Value(4)}));
+  EXPECT_THROW(ops::add(edge, Value(1)), ValueError);
+  EXPECT_THROW(ops::add(Value(1), edge), ValueError);
+  EXPECT_THROW(ops::mul(edge, safe), ValueError);
+  EXPECT_THROW(ops::sub(Value::pack({Value(0), Value(kMin)}), Value(1)),
+               ValueError);
+  const Value minLane = Value::pack({Value(5), Value(kMin)});
+  EXPECT_THROW(ops::neg(minLane), ValueError);
+  EXPECT_THROW(ops::abs(minLane), ValueError);
+  EXPECT_THROW(ops::div(minLane, Value(-1)), ValueError);
 }
 
 TEST(ValueOps, ArithmeticRejectsBooleans) {
