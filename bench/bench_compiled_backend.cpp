@@ -1,15 +1,18 @@
-// CB — compiled backend: SchedulerKind::Compiled (steady-state fast-forward
-// over the sched::SteadySchedule IR) vs the event-driven scheduler on the
-// fig2–fig8 workloads at m = 4096.
+// CB — compiled backend: SchedulerKind::Compiled vs the event-driven
+// scheduler on the fig2–fig8 workloads at m = 4096.
 //
 // The compiled scheduler runs the pipeline fill live, detects the steady
-// state, fast-forwards all full hyper-periods in bulk (no time wheel, no
-// ready queue, no per-token ack traffic for the skipped windows), then
-// resumes live for the drain.  On graphs the IR declines — runtime gates,
-// merges, feedback loops, array memories — it falls back to the event loop
-// with a structured diagnostic, so those rows measure pure dispatch
-// overhead (~1x).  Every row checks bit-identity: outputs, output times,
-// firings, cycles, and packet counters must match the event-driven run.
+// state, fast-forwards whole periods in bulk (no time wheel, no ready queue,
+// no per-token ack traffic for the skipped windows), then resumes live for
+// the drain.  Two value paths reconstruct what the skipped windows compute:
+// the sched::SteadySchedule IR's straight-line loop on graphs the IR accepts
+// (fig2), and a recorded firing tape replayed on values alone on graphs
+// whose gates and merges run off compile-time control sequences (fig3, fig4,
+// fig6, fig7, fig8).  fig5's gate reads input data, so it runs event-driven
+// (~1x, pure dispatch overhead).  Every row checks bit-identity: outputs,
+// output times, firings, cycles, and packet counters must match the
+// event-driven run.  Gates: >= 10x on fig2, >= 2x on each tape-replayed
+// figure.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -229,17 +232,16 @@ int main(int argc, char** argv) {
   bench::banner(
       "CB (compiled backend)",
       "SchedulerKind::Compiled steady-state fast-forward vs event-driven",
-      ">= 10x wall-clock on at least one fig workload at m = 4096, "
+      ">= 10x wall-clock on fig2 and >= 2x on fig3/4/6/7/8 at m = 4096, "
       "bit-identical results everywhere");
 
   bench::BenchJson json("compiled_backend", SchedulerKind::Compiled);
   json.meta("workload", "fig2-fig8 at m = 4096, compiled vs event-driven");
   json.meta("m", m);
   TextTable table({"workload", "cells", "cycles", "ed ms", "compiled ms",
-                   "speedup", "windows", "mode", "same"});
-  double bestSpeedup = 0.0;
-  std::string bestName = "-";
+                   "speedup", "windows", "path", "gate", "same"});
   bool allIdentical = true;
+  bool allGates = true;
   for (const Workload& w : workloads(m)) {
     const Timed ed = runTimed(w, SchedulerKind::EventDriven);
     const Timed cp = runTimed(w, SchedulerKind::Compiled);
@@ -247,19 +249,28 @@ int main(int argc, char** argv) {
     allIdentical = allIdentical && same;
     const double speedup = ed.seconds / cp.seconds;
     const auto& ci = cp.res.compiled;
-    const char* mode = !ci.accepted             ? "fallback"
-                       : ci.windowsSkipped == 0 ? "live"
-                       : ci.vectorized          ? "ff+vec"
-                                                : "ff";
-    if (ci.accepted && speedup > bestSpeedup) {
-      bestSpeedup = speedup;
-      bestName = w.name;
-    }
+    // Which value path reconstructed the skipped windows.
+    const char* path = !ci.fastForwarded ? "none"
+                       : ci.tapeReplay   ? "tape"
+                       : ci.vectorized   ? "ir-loop+vec"
+                                         : "ir-loop";
+    // fig2 (IR loop) must reach 10x, every control-static figure 2x; fig5's
+    // data-steered gate keeps it event-driven, so it has no speed gate.
+    const bool dataSteered = w.name.rfind("fig5", 0) == 0;
+    const double gate = w.name.rfind("fig2", 0) == 0 ? 10.0
+                        : dataSteered                ? 0.0
+                                                     : 2.0;
+    const bool pass = speedup >= gate;
+    allGates = allGates && pass;
+    const std::string gateCell =
+        gate > 0 ? ">=" + std::to_string(static_cast<int>(gate)) + "x " +
+                       (pass ? "PASS" : "FAIL")
+                 : "-";
     table.addRow({w.name, std::to_string(w.lowered.size()),
                   std::to_string(ed.res.cycles),
                   fmtDouble(ed.seconds * 1e3, 2),
                   fmtDouble(cp.seconds * 1e3, 2), fmtDouble(speedup, 2),
-                  std::to_string(ci.windowsSkipped), mode,
+                  std::to_string(ci.windowsSkipped), path, gateCell,
                   same ? "yes" : "NO"});
     bench::JsonObj row;
     row.add("workload", w.name)
@@ -269,21 +280,20 @@ int main(int argc, char** argv) {
         .add("compiled_ms", cp.seconds * 1e3)
         .add("speedup", speedup)
         .add("accepted", ci.accepted)
-        .add("vectorized", ci.vectorized)
+        .add("value_path", path)
         .add("windows_skipped", ci.windowsSkipped)
         .add("firings_skipped", static_cast<std::int64_t>(ci.firingsSkipped))
+        .add("speedup_gate", gate)
+        .add("gate_pass", pass)
         .add("reason", ci.reason)
         .add("identical", same);
     json.addRow(row);
   }
   std::printf("%s\n", table.str().c_str());
-  std::printf("acceptance: best accepted-workload speedup %.2fx on %s "
-              "(target >= 10x) %s; identity %s\n\n",
-              bestSpeedup, bestName.c_str(),
-              bestSpeedup >= 10.0 ? "PASS" : "FAIL",
-              allIdentical ? "PASS" : "FAIL");
-  json.meta("best_speedup", bestSpeedup);
-  json.meta("best_workload", bestName);
+  std::printf("acceptance: speed gates (fig2 >= 10x, fig3/4/6/7/8 >= 2x) %s; "
+              "identity %s\n\n",
+              allGates ? "PASS" : "FAIL", allIdentical ? "PASS" : "FAIL");
+  json.meta("all_gates_pass", allGates);
   json.meta("all_identical", allIdentical);
   json.write();
   return bench::runTimings(argc, argv);

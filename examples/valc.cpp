@@ -346,7 +346,9 @@ int main(int argc, char** argv) {
                       static_cast<long long>(ci.windowsSkipped),
                       static_cast<long long>(ci.cyclesSkipped),
                       static_cast<unsigned long long>(ci.firingsSkipped),
-                      ci.vectorized ? ", vectorized" : "");
+                      ci.vectorized   ? ", vectorized"
+                      : ci.tapeReplay ? ", tape replay"
+                                      : "");
         else
           std::printf("  compiled: %s\n",
                       ci.reason.empty() ? "no fast-forward taken"

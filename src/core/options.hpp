@@ -47,15 +47,17 @@ enum class SchedulerKind {
   EventDriven,  ///< time wheel + ready queue (the default)
   Synchronous,  ///< full cell rescan per instruction time
   Reference,    ///< naive reference stepper (oracle)
-  /// Steady-state backend over the sched::SteadySchedule IR: event-driven
-  /// fill/drain with the periodic middle fast-forwarded in bulk.  Falls back
-  /// to EventDriven (see CompiledFallback) when the schedule IR declines the
-  /// graph — gates, merges, feedback cycles, unbalanced reconvergence.
+  /// Steady-state backend: event-driven fill/drain with the periodic middle
+  /// fast-forwarded in bulk, through the sched::SteadySchedule IR's value
+  /// loop or, on graphs the IR declines whose control is input-independent,
+  /// by firing-tape replay.  Falls back to EventDriven (see
+  /// CompiledFallback) when control depends on input data or array memory.
   Compiled,
 };
 
-/// What SchedulerKind::Compiled does when sched::computeSteadySchedule
-/// declines the graph (or the run shape forces per-token execution).
+/// What SchedulerKind::Compiled does when it cannot fast-forward the graph
+/// at all (control steered by input data or array memory), or the run
+/// shape forces per-token execution (the latter always runs EventDriven).
 enum class CompiledFallback {
   EventDriven,  ///< run EventDriven, record the reason in result.compiled
   Error,        ///< throw sched::ScheduleDeclined

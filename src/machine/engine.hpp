@@ -19,10 +19,12 @@
 //   - Reference: the original pointer-walking stepper over dfg::Graph, kept
 //     verbatim as the verification oracle and bench baseline (selected via
 //     RunOptions::scheduler — the one way to pick a scheduler);
-//   - Compiled: the steady-state backend over the sched::SteadySchedule IR —
-//     event-driven fill and drain with the periodic middle of the run
-//     fast-forwarded whole hyper-periods at a time (machine/engine_compiled),
-//     falling back to EventDriven when the schedule IR declines the graph.
+//   - Compiled: the steady-state backend — event-driven fill and drain with
+//     the periodic middle of the run fast-forwarded whole periods at a time
+//     (machine/engine_compiled), values reconstructed by the
+//     sched::SteadySchedule IR's loop or, on graphs the IR declines whose
+//     control is input-independent, by replaying a recorded firing tape;
+//     plain EventDriven when control depends on input data or array memory.
 //
 // The graph must carry no unresolved sugar beyond Op::Fifo, which the
 // simulator accepts in either lowered form: expanded into an Id chain
@@ -105,6 +107,9 @@ struct MachineResult {
     bool accepted = false;       ///< the schedule IR accepted the graph
     bool fastForwarded = false;  ///< >= 1 steady-state jump actually taken
     bool vectorized = false;     ///< value loop ran the all-real fast path
+    /// Skipped values came from replaying a recorded firing tape (a
+    /// control-static graph the IR declined) rather than the IR value loop.
+    bool tapeReplay = false;
     std::string reason;          ///< decline / no-jump diagnostic ("" if none)
     std::int64_t hyperPeriod = 0;      ///< static IR period (unit profile)
     std::int64_t detectedPeriod = 0;   ///< measured steady period (cycles)

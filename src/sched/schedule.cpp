@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sched/control.hpp"
+
 namespace valpipe::sched {
 
 const char* declineName(Decline d) {
@@ -14,6 +16,7 @@ const char* declineName(Decline d) {
     case Decline::Feedback: return "feedback-cycle";
     case Decline::InitialToken: return "initial-token";
     case Decline::Unbalanced: return "unbalanced";
+    case Decline::InputControl: return "data-dependent-control";
   }
   return "?";
 }
@@ -36,9 +39,8 @@ std::string cellName(const exec::ExecutableGraph& eg, std::uint32_t c) {
   return os.str();
 }
 
-}  // namespace
-
-SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg) {
+/// The IR proper: structural acceptance, topological order and ASAP slots.
+SteadySchedule structuralSchedule(const exec::ExecutableGraph& eg) {
   const auto n = static_cast<std::uint32_t>(eg.size());
 
   // --- structural acceptance: the firing pattern must be data-independent.
@@ -126,12 +128,30 @@ SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg) {
   return s;
 }
 
+}  // namespace
+
+SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg) {
+  if (inputSteersControl(eg))
+    return declined(Decline::InputControl,
+                    "input data reaches a gate or merge control port");
+  SteadySchedule s = structuralSchedule(eg);
+  s.controlStatic = true;
+  for (std::uint32_t c = 0; c < eg.size(); ++c)
+    if (eg.cell(c).op == dfg::Op::AmStore || eg.cell(c).op == dfg::Op::AmFetch)
+      s.controlStatic = false;
+  return s;
+}
+
 std::string SteadySchedule::explain(const exec::ExecutableGraph& eg) const {
   std::ostringstream os;
   if (!accepted) {
     os << "steady schedule: declined (" << declineName(decline) << ")\n"
        << "  " << detail << "\n"
-       << "  the compiled scheduler falls back to event-driven execution\n";
+       << "  the compiled scheduler falls back to event-driven execution";
+    if (controlStatic)
+      os << ";\n  control does not depend on input data, so it fast-forwards"
+            " periodic\n  stretches by replaying a recorded firing tape";
+    os << "\n";
     return os.str();
   }
   os << "steady schedule: accepted\n"

@@ -23,16 +23,23 @@
 //                  evaluation order of the steady-state value loop
 //                  (sched/steady_loop.hpp).
 //
-// The IR is a *certificate*, not an oracle: SchedulerKind::Compiled only
-// attempts its steady-state fast path on accepted graphs, and the runtime
-// detector (machine/engine_compiled.cpp) independently verifies the machine
-// state really has become periodic before skipping ahead.  A graph is
-// declined — with a structured reason, so the engine can fall back to
-// EventDriven and valc --explain-schedule can say why — when its firing
-// pattern is not statically known: data-dependent routing (gates, merges),
-// feedback cycles or load-time tokens (for-iter schemes), array-memory
-// traffic, or unbalanced reconvergence (§8: an unbalanced graph throttles
-// below the maximum rate, so no single hyper-period describes it).
+// The IR is a *certificate*, not an oracle: the runtime detector
+// (machine/engine_compiled.cpp) independently verifies the machine state
+// really has become periodic before skipping ahead.  A graph is declined —
+// with a structured reason, so valc --explain-schedule and
+// MachineResult::compiled can say why — when its firing pattern has no
+// static straight-line form: routing by gates or merges, feedback cycles or
+// load-time tokens (for-iter schemes), array-memory traffic, or unbalanced
+// reconvergence (§8: an unbalanced graph throttles below the maximum rate,
+// so no single hyper-period describes it).
+//
+// A declined graph may still be *control-static*: no input data reaches a
+// gate or merge selector (sched/control.hpp) and it has no array memory.
+// Its control then runs off compile-time sequences, its trajectory is
+// input-independent, and SchedulerKind::Compiled fast-forwards it by
+// replaying a recorded firing tape instead of the IR's value loop.  Only a
+// graph whose control depends on input data (Decline::InputControl) or on
+// array memory runs purely event-driven.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +60,7 @@ enum class Decline : std::uint8_t {
   Feedback,     ///< feedback cycle (for-iter schemes): rate k/S, not 1/P
   InitialToken, ///< load-time token (counter bootstrap) implies a cycle
   Unbalanced,   ///< reconvergent operands at unequal depth (§8)
+  InputControl, ///< input data reaches a gate port or merge selector
 };
 
 const char* declineName(Decline d);
@@ -73,6 +81,10 @@ struct SteadySchedule {
   bool accepted = false;
   Decline decline = Decline::None;
   std::string detail;  ///< human-readable decline reason ("" when accepted)
+  /// No input data reaches control and there is no array memory: the run's
+  /// firing trajectory is input-independent (file comment).  True for every
+  /// accepted graph; on a declined one it selects firing-tape replay.
+  bool controlStatic = false;
 
   /// Stage period under the unit timing profile: one result hop forward plus
   /// one acknowledge hop backward — the §3 maximum-repetition-rate bound of
@@ -92,8 +104,9 @@ struct SteadySchedule {
   std::string explain(const exec::ExecutableGraph& eg) const;
 };
 
-/// Computes the steady schedule of `eg`, or the structured decline.  Pure
-/// graph analysis: no timing profile, no input data.
+/// Computes the steady schedule of `eg`, or the structured decline (with
+/// controlStatic set either way).  Pure graph analysis: no timing profile,
+/// no input data.
 SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg);
 
 }  // namespace valpipe::sched

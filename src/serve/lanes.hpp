@@ -16,7 +16,7 @@
 // selectors driven by the compile-time control sequences (BoolSeq/IndexSeq)
 // are scalar and always uniform.  Data-dependent control could diverge
 // across tenants, so the server never batches such a program
-// (serve::inputSteersControl); should a divergent pack reach a boolean
+// (sched::inputSteersControl); should a divergent pack reach a boolean
 // context anyway, Value::asBoolean throws ValueError and the batch is rerun
 // solo.
 #pragma once

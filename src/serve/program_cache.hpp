@@ -12,8 +12,11 @@
 //     by every concurrent run (machine::simulate's prebuilt-graph overload);
 //   - the output stream name and per-wave packet count the stop condition
 //     needs;
-//   - whether input data can steer control (inputSteersControl), which
-//     decides once whether the program's runs may be lane-batched.
+//   - whether input data can steer control (sched::inputSteersControl,
+//     the same analysis the compiled scheduler declines on), which decides
+//     once whether the program's runs may be lane-batched: lanes of one
+//     batch carry different tenants' inputs, so such a program's lanes may
+//     disagree on control, and a batched run of it would diverge.
 //
 // Concurrency contract: any number of threads may call get() for the same
 // key; exactly one of them compiles (the others block on a shared_future of
@@ -40,6 +43,7 @@
 #include "core/options.hpp"
 #include "dfg/graph.hpp"
 #include "exec/executable_graph.hpp"
+#include "sched/control.hpp"
 
 namespace valpipe::serve {
 
@@ -53,19 +57,13 @@ inline std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// True when a gate or merge control operand is reachable from an Input
-/// cell of `eg` (through result arcs and array-memory regions).  Lanes of
-/// one batch carry different tenants' inputs, so such a program's lanes may
-/// disagree on control, and a batched run of it would diverge.
-bool inputSteersControl(const exec::ExecutableGraph& eg);
-
 /// One resident compiled program, immutable after construction.
 struct CachedProgram {
   std::string source;            ///< full source (collision guard)
   core::CompileOptions options;  ///< normalized: lower forced on
   core::CompiledProgram program; ///< graph is machine-ready (lowered)
   exec::ExecutableGraph exec;    ///< flattened once, shared by all runs
-  bool dataDependentControl;     ///< inputSteersControl(exec): run solo
+  bool dataDependentControl;  ///< sched::inputSteersControl(exec): run solo
 
   CachedProgram(std::string src, const core::CompileOptions& opts,
                 core::CompiledProgram prog)
@@ -73,7 +71,7 @@ struct CachedProgram {
         options(opts),
         program(std::move(prog)),
         exec(program.graph),
-        dataDependentControl(inputSteersControl(exec)) {}
+        dataDependentControl(sched::inputSteersControl(exec)) {}
 
   const std::string& outputName() const { return program.outputName; }
   std::int64_t outputPerWave() const { return program.expectedOutputPerWave(); }

@@ -423,10 +423,12 @@ std::future<Response> Server::submit(const std::string& source,
   }
 
   // Feed from a pump thread so submit() never blocks on backpressure; the
-  // pump settles `p` with the session's outcome.  Pumps are joined by
-  // shutdown() — if shutdown already closed the roster, settle inline.
-  auto pump = [session, inputs = std::move(inputs), so,
-               p = std::move(p)]() mutable {
+  // pump settles `p` with the session's outcome.  Finished pumps are joined
+  // by the next submit(), the rest by shutdown() — if shutdown already
+  // closed the roster, settle inline.
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  auto pump = [session, inputs = std::move(inputs), so, p = std::move(p),
+               done]() mutable {
     const CachedProgram& cp = *session->st_->prog;
     bool alive = true;
     for (int w = 0; alive && w < so.waves; ++w) {
@@ -445,6 +447,7 @@ std::future<Response> Server::submit(const std::string& source,
     }
     if (alive) session->closeInputs();
     p.set_value(session->finish());
+    done->store(true, std::memory_order_release);
   };
   {
     std::lock_guard<std::mutex> lk(fmu_);
@@ -453,7 +456,13 @@ std::future<Response> Server::submit(const std::string& source,
       pump();  // pushes fail fast on the cancelled session; settles p
       return fut;
     }
-    feeders_.emplace_back(std::move(pump));
+    // A finished pump has returned from its body: its join is immediate.
+    std::erase_if(feeders_, [](Feeder& f) {
+      if (!f.done->load(std::memory_order_acquire)) return false;
+      f.thread.join();
+      return true;
+    });
+    feeders_.push_back({std::thread(std::move(pump)), std::move(done)});
   }
   return fut;
 }
@@ -743,14 +752,14 @@ void Server::shutdown() {
   }
   // Join the submit() pumps first (cancelled sessions unblock them), then
   // the executors.
-  std::vector<std::thread> pumps;
+  std::vector<Feeder> pumps;
   {
     std::lock_guard<std::mutex> lk(fmu_);
     feedersClosed_ = true;
     pumps = std::move(feeders_);
   }
-  for (std::thread& t : pumps)
-    if (t.joinable()) t.join();
+  for (Feeder& f : pumps)
+    if (f.thread.joinable()) f.thread.join();
   for (std::thread& t : workers_)
     if (t.joinable()) t.join();
   workers_.clear();

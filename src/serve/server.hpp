@@ -284,9 +284,16 @@ class Server {
   std::mutex rmu_;  ///< guards buckets_
   std::map<std::string, TokenBucket> buckets_;
 
-  std::mutex fmu_;  ///< guards feeders_ (one-shot submit() input pumps)
+  /// One one-shot submit() input pump; `done` is set as its body returns,
+  /// so submit() joins finished pumps as it adds new ones and a long-lived
+  /// server holds only the pumps still feeding.
+  struct Feeder {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+  std::mutex fmu_;  ///< guards feeders_
   bool feedersClosed_ = false;
-  std::vector<std::thread> feeders_;
+  std::vector<Feeder> feeders_;
 
   std::vector<std::thread> workers_;
 };

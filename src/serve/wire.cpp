@@ -60,7 +60,7 @@ struct Writer {
   }
   void options(const WireOptions& o) {
     u8(o.fuseFifos ? 1 : 0);
-    u8(o.scheduler);
+    u8(schedulerCode(o.scheduler));
     u32(o.waves);
     i64(o.watchdog);
     i64(o.maxInstructionTimes);
@@ -157,9 +157,7 @@ struct Reader {
   WireOptions options() {
     WireOptions o;
     o.fuseFifos = u8() != 0;
-    o.scheduler = u8();
-    if (o.scheduler > static_cast<std::uint8_t>(core::SchedulerKind::Compiled))
-      throw ProtocolError("unknown scheduler " + std::to_string(o.scheduler));
+    o.scheduler = schedulerFromCode(u8());
     o.waves = u32();
     if (o.waves == 0 || o.waves > 1'000'000)
       throw ProtocolError("waves out of range");
@@ -187,6 +185,30 @@ struct Reader {
 
 }  // namespace
 
+std::uint8_t schedulerCode(core::SchedulerKind kind) {
+  switch (kind) {
+    case core::SchedulerKind::EventDriven: return 0;
+    case core::SchedulerKind::Synchronous: return 2;
+    case core::SchedulerKind::Reference: return 3;
+    case core::SchedulerKind::Compiled: return 4;
+  }
+  throw ProtocolError("scheduler has no wire code");
+}
+
+core::SchedulerKind schedulerFromCode(std::uint8_t code) {
+  switch (code) {
+    case 0: return core::SchedulerKind::EventDriven;
+    case 1:
+      throw ProtocolError(
+          "scheduler 1 (the sharded parallel scheduler) was removed; request "
+          "event-driven (0) or compiled (4)");
+    case 2: return core::SchedulerKind::Synchronous;
+    case 3: return core::SchedulerKind::Reference;
+    case 4: return core::SchedulerKind::Compiled;
+    default: throw ProtocolError("unknown scheduler " + std::to_string(code));
+  }
+}
+
 core::CompileOptions WireOptions::compileOptions() const {
   core::CompileOptions c;
   c.lower = true;
@@ -197,7 +219,7 @@ core::CompileOptions WireOptions::compileOptions() const {
 SessionOptions WireOptions::sessionOptions() const {
   SessionOptions s;
   s.waves = static_cast<int>(waves);
-  s.scheduler = static_cast<core::SchedulerKind>(scheduler);
+  s.scheduler = scheduler;
   s.watchdog = watchdog;
   s.maxInstructionTimes = maxInstructionTimes;
   s.guards = guards;

@@ -13,6 +13,12 @@
 //                rejected on both encode and decode
 //   stream     = u32 element count + that many values
 //   stream map = u32 stream count + that many (string name, stream) pairs
+//   scheduler  = u8 code from a frozen table (schedulerCode): EventDriven 0,
+//                Synchronous 2, Reference 3, Compiled 4.  Code 1 named the
+//                removed sharded parallel scheduler and is refused.  The
+//                codes are the protocol's own, independent of the order of
+//                core::SchedulerKind, so a change there cannot silently
+//                re-route an older client's requests.
 //
 // The decoder (parseClient / parseReply) is total: ANY byte sequence either
 // decodes into exactly one message or throws ProtocolError — truncated
@@ -41,6 +47,11 @@ class ProtocolError : public std::runtime_error {
   explicit ProtocolError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// The wire code of a scheduler (file comment), and back; the decoder
+/// throws ProtocolError on a code the table does not hold.
+std::uint8_t schedulerCode(core::SchedulerKind kind);
+core::SchedulerKind schedulerFromCode(std::uint8_t code);
+
 /// Hard ceiling on one frame's payload (16 MiB): bigger arrays must stream
 /// as multiple Push/OutputChunk waves — that is the point of chunked I/O.
 inline constexpr std::uint32_t kMaxFrame = 1u << 24;
@@ -68,7 +79,7 @@ enum class MsgType : std::uint8_t {
 /// tests (notably fuseFifos, which keys the program cache).
 struct WireOptions {
   bool fuseFifos = true;
-  std::uint8_t scheduler = 0;  ///< core::SchedulerKind as an integer
+  core::SchedulerKind scheduler = core::SchedulerKind::EventDriven;
   std::uint32_t waves = 1;
   std::int64_t watchdog = 0;
   std::int64_t maxInstructionTimes = 50'000'000;

@@ -339,22 +339,285 @@ TEST_F(CompiledScheduler, ObservabilitySinksDisableFastForwardButStayIdentical) 
       << cp.compiled.reason;
 }
 
-TEST(CompiledFallback, GatedGraphFallsBackWithStructuredReason) {
-  const auto prog = core::compile(core::frontend(testing::example1Source(16)));
-  const dfg::Graph lowered = dfg::expandFifos(prog.graph);
+// --- Compiled on control-static graphs: firing-tape replay ----------------
+//
+// The IR declines every graph with gates, merges or feedback, but when their
+// control runs off compile-time sequences (boundary patterns, loop merges)
+// the compiled scheduler still fast-forwards them, replaying a recorded
+// firing tape for the values.  Each case runs fused and expanded, 3 waves.
+
+/// Fig. 4's selection: a three-point stencil over shifted index streams.
+std::string selectionSource(int m) {
+  return "const m = " + std::to_string(m) + "\n" + R"(
+function sel(C: array[real] [0, m+1] returns array[real])
+  forall i in [1, m]
+  construct 0.25 * (C[i-1] + 2.*C[i] + C[i+1])
+  endall
+endfun
+)";
+}
+
+/// Fig. 5's conditional: the gate reads input data.
+std::string conditionalSource(int m) {
+  return "const m = " + std::to_string(m) + "\n" + R"(
+function cond(A, B, C: array[real] [1, m] returns array[real])
+  forall i in [1, m]
+  construct if C[i] > 0. then -(A[i] + B[i])
+            else 5. * (A[i] * B[i] + 2.) endif
+  endall
+endfun
+)";
+}
+
+/// Inputs for every parameter of `prog`, seeded per parameter.
+run::StreamMap seededInputs(const core::CompiledProgram& prog, unsigned seed,
+                            double lo = -0.9, double hi = 0.9) {
   val::ArrayMap in;
-  in["B"] = randomArray({0, 17}, 51);
-  in["C"] = randomArray({0, 17}, 52);
-  const run::StreamMap streams = testing::inputsFor(prog, in);
+  unsigned k = 0;
+  for (const auto& [name, range] : prog.inputs)
+    in[name] = randomArray(range, seed + 100 * k++, lo, hi);
+  return testing::inputsFor(prog, in);
+}
+
+RunOptions expectWaves(const core::CompiledProgram& prog, int waves) {
+  RunOptions opts;
+  opts.waves = waves;
+  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave() * waves;
+  return opts;
+}
+
+/// Compiled vs EventDriven on both lowerings of `prog`: field-identical,
+/// and fast-forwarded through the tape.
+void expectTapeReplayIdentical(const core::CompiledProgram& prog,
+                               const run::StreamMap& in, RunOptions opts,
+                               const std::string& what) {
+  for (bool fuse : {true, false}) {
+    const dfg::Graph lowered =
+        fuse ? opt::fuseFifos(prog.graph) : dfg::expandFifos(prog.graph);
+    const std::string tag = what + (fuse ? " [fused]" : " [expanded]");
+    const CompiledRun r =
+        runCompiledVsEvent(lowered, MachineConfig::unit(), in, opts);
+    expectIdentical(r.cp, r.ed, tag);
+    ASSERT_TRUE(r.cp.completed) << tag << ": " << r.cp.note;
+    EXPECT_FALSE(r.cp.compiled.accepted) << tag;
+    EXPECT_TRUE(r.cp.compiled.fastForwarded) << tag << ": "
+                                             << r.cp.compiled.reason;
+    EXPECT_TRUE(r.cp.compiled.tapeReplay) << tag;
+    EXPECT_GT(r.cp.compiled.windowsSkipped, 0) << tag;
+  }
+}
+
+TEST(CompiledTapeReplay, Example1BitIdenticalAcrossWaves) {
+  const auto prog = core::compile(core::frontend(testing::example1Source(256)));
+  expectTapeReplayIdentical(prog, seededInputs(prog, 81), expectWaves(prog, 3),
+                            "example 1");
+}
+
+TEST(CompiledTapeReplay, SelectionBitIdenticalAcrossWaves) {
+  const auto prog = core::compile(core::frontend(selectionSource(256)));
+  expectTapeReplayIdentical(prog, seededInputs(prog, 83), expectWaves(prog, 3),
+                            "selection");
+}
+
+TEST(CompiledTapeReplay, FeedbackSchemesFastForwardBitIdentical) {
+  // Both for-iter schemes carry feedback cycles and loop merges the IR
+  // declines; their merges run off compile-time sequences, so the compiled
+  // scheduler fast-forwards them and must match the event-driven run.
+  struct Scheme {
+    ForIterScheme scheme;
+    int skip;
+  };
+  for (const Scheme& sc : {Scheme{ForIterScheme::Todd, 0},
+                           Scheme{ForIterScheme::Companion, 2},
+                           Scheme{ForIterScheme::Companion, 4}}) {
+    CompileOptions copts;
+    copts.forIterScheme = sc.scheme;
+    if (sc.skip > 0) copts.companionSkip = sc.skip;
+    const auto prog =
+        core::compile(core::frontend(testing::example2Source(256)), copts);
+    expectTapeReplayIdentical(
+        prog, seededInputs(prog, 85), expectWaves(prog, 3),
+        sc.skip > 0 ? "companion k=" + std::to_string(sc.skip) : "todd");
+  }
+}
+
+TEST(CompiledTapeReplay, PatternTurnBetweenEqualDepthBranches) {
+  // Both arms of the conditional have the same depth, so the machine's
+  // timing is the same whichever way the gate routes: only the control
+  // values in the snapshot tell the T half of the wave from the F half, and
+  // the replay must follow each half's gate.
+  const int m = 256;
+  const std::string src = "const m = " + std::to_string(m) + "\n" + R"(
+function half(A: array[real] [1, m] returns array[real])
+  forall i in [1, m]
+  construct if i <= 100 then A[i] + 1. else A[i] - 1. endif
+  endall
+endfun
+)";
+  const auto prog = core::compile(core::frontend(src));
+  expectTapeReplayIdentical(prog, seededInputs(prog, 86), expectWaves(prog, 3),
+                            "equal-depth branches");
+}
+
+TEST(CompiledTapeReplay, DelayedControlRoutesBothSidesAcrossTheTurn) {
+  // A gated identity feeding both tagged sides, its control delayed through
+  // a FIFO.  Across the pattern turn the FIFO holds T..T F and T..F F with
+  // every timestamp equal, so only the snapshot's control values keep a jump
+  // from crossing the turn; the replay must route each token by its own gate.
+  const std::int64_t n = 300;
+  const std::size_t ts = 120;
+  dfg::Graph g;
+  const auto a = g.input("a", n);
+  const auto ctl = g.boolSeq(
+      dfg::BoolPattern::runs(0, ts, static_cast<std::size_t>(n) - ts), "ctl");
+  const auto route =
+      g.gatedIdentity(dfg::Graph::out(a), g.fifo(dfg::Graph::out(ctl), 6));
+  g.output("x", dfg::Graph::out(g.binary(dfg::Op::Add, dfg::Graph::outT(route),
+                                         dfg::Graph::lit(Value(1.0)))));
+  g.output("y", dfg::Graph::out(g.binary(dfg::Op::Sub, dfg::Graph::outF(route),
+                                         dfg::Graph::lit(Value(1.0)))));
+  run::StreamMap in;
+  in["a"] = randomArray({1, n}, 88).elems;
+  const int waves = 3;
+  RunOptions opts;
+  opts.waves = waves;
+  opts.expectedOutputs["x"] = static_cast<std::int64_t>(ts) * waves;
+  opts.expectedOutputs["y"] = (n - static_cast<std::int64_t>(ts)) * waves;
+  for (bool fuse : {true, false}) {
+    const dfg::Graph lowered = fuse ? opt::fuseFifos(g) : dfg::expandFifos(g);
+    const std::string tag = fuse ? "delayed control [fused]"
+                                 : "delayed control [expanded]";
+    const CompiledRun r =
+        runCompiledVsEvent(lowered, MachineConfig::unit(), in, opts);
+    expectIdentical(r.cp, r.ed, tag);
+    ASSERT_TRUE(r.cp.completed) << tag << ": " << r.cp.note;
+    EXPECT_TRUE(r.cp.compiled.tapeReplay) << tag << ": "
+                                          << r.cp.compiled.reason;
+    EXPECT_GT(r.cp.compiled.windowsSkipped, n) << tag;
+  }
+}
+
+TEST(CompiledTapeReplay, GuardsValidateAcrossReplayJumps) {
+  const auto prog = core::compile(core::frontend(testing::example1Source(256)));
+  guard::Config guards;
+  RunOptions opts = expectWaves(prog, 3);
+  opts.guards = &guards;
+  expectTapeReplayIdentical(prog, seededInputs(prog, 87), opts,
+                            "example 1 with guards");
+}
+
+TEST(CompiledTapeReplay, DivisionByZeroLateInWaveRaisesTheSameValueError) {
+  // The divisor reaches 0.0 three quarters into the wave, inside the stretch
+  // the compiled run skips: the replay must raise the event run's error.
+  const int m = 256;
+  const std::string src = "const m = " + std::to_string(m) + "\n" + R"(
+function q(B, C: array[real] [0, m+1] returns array[real])
+  forall i in [0, m+1]
+    P : real := if (i = 0) | (i = m+1) then C[i] else B[i] / C[i] endif;
+  construct P * P
+  endall
+endfun
+)";
+  const auto prog = core::compile(core::frontend(src));
+  run::StreamMap in = seededInputs(prog, 89, 0.5, 1.0);
+  in.at("C")[3 * m / 4] = Value(0.0);
+  for (bool fuse : {true, false}) {
+    const dfg::Graph lowered =
+        fuse ? opt::fuseFifos(prog.graph) : dfg::expandFifos(prog.graph);
+    RunOptions opts = expectWaves(prog, 3);
+    std::string errs[2];
+    for (int k = 0; k < 2; ++k) {
+      opts.scheduler = k == 0 ? SchedulerKind::EventDriven
+                              : SchedulerKind::Compiled;
+      try {
+        machine::simulate(lowered, MachineConfig::unit(), in, opts);
+        ADD_FAILURE() << "division by zero did not raise (scheduler " << k
+                      << ", fused " << fuse << ")";
+      } catch (const ValueError& e) {
+        errs[k] = e.what();
+      }
+    }
+    EXPECT_FALSE(errs[0].empty());
+    EXPECT_EQ(errs[1], errs[0]) << "fused " << fuse;
+    // Without the zero the same run takes the jump that covers it.
+    in.at("C")[3 * m / 4] = Value(0.75);
+    opts.scheduler = SchedulerKind::Compiled;
+    const MachineResult ok =
+        machine::simulate(lowered, MachineConfig::unit(), in, opts);
+    in.at("C")[3 * m / 4] = Value(0.0);
+    EXPECT_TRUE(ok.compiled.tapeReplay) << ok.compiled.reason;
+    EXPECT_GT(ok.compiled.windowsSkipped, m) << ok.compiled.reason;
+  }
+}
+
+TEST(CompiledTapeReplay, PaperFiguresAtFullSizeBitIdentical) {
+  // fig2–fig8 at m = 4096 x 4 waves, FIFO chains fused as valc runs them:
+  // fig2 takes the IR loop, fig5's data-steered gate runs event-driven, and
+  // every other figure fast-forwards through the tape.
+  const int m = 4096;
+  const std::string fig2 = "const m = " + std::to_string(m) + "\n" + R"(
+function fig2(A, B: array[real] [1, m] returns array[real])
+  forall i in [1, m]
+  construct (A[i]*B[i] + 2.) * (A[i]*B[i] - 3.)
+  endall
+endfun
+)";
+  CompileOptions todd;
+  todd.forIterScheme = ForIterScheme::Todd;
+  CompileOptions companion;
+  companion.forIterScheme = ForIterScheme::Companion;
+  companion.companionSkip = 4;
+  struct Fig {
+    const char* name;
+    std::string source;
+    CompileOptions opts;
+  };
+  const Fig figs[] = {
+      {"fig2", fig2, {}},
+      {"fig3", testing::figure3Source(m), {}},
+      {"fig4", selectionSource(m), {}},
+      {"fig5", conditionalSource(m), {}},
+      {"fig6", testing::example1Source(m), {}},
+      {"fig7", testing::example2Source(m), todd},
+      {"fig8", testing::example2Source(m), companion},
+  };
+  for (const Fig& f : figs) {
+    const auto prog = core::compile(core::frontend(f.source), f.opts);
+    const CompiledRun r =
+        runCompiledVsEvent(opt::fuseFifos(prog.graph), MachineConfig::unit(),
+                           seededInputs(prog, 91), expectWaves(prog, 4));
+    expectIdentical(r.cp, r.ed, f.name);
+    ASSERT_TRUE(r.cp.completed) << f.name << ": " << r.cp.note;
+    const auto& ci = r.cp.compiled;
+    if (std::string(f.name) == "fig5") {
+      EXPECT_FALSE(ci.fastForwarded);
+      EXPECT_NE(ci.reason.find("declined (data-dependent-control)"),
+                std::string::npos)
+          << ci.reason;
+      continue;
+    }
+    EXPECT_TRUE(ci.fastForwarded) << f.name << ": " << ci.reason;
+    EXPECT_GT(ci.windowsSkipped, 0) << f.name;
+    EXPECT_EQ(ci.tapeReplay, std::string(f.name) != "fig2") << f.name;
+  }
+}
+
+// --- Compiled fallback: control steered by input data ------------------------
+
+TEST(CompiledFallback, GatedGraphFallsBackWithStructuredReason) {
+  const auto prog = core::compile(core::frontend(conditionalSource(64)));
+  const dfg::Graph lowered = dfg::expandFifos(prog.graph);
+  const run::StreamMap streams = seededInputs(prog, 51, -1.0, 1.0);
   RunOptions opts;
   opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
   const CompiledRun r =
       runCompiledVsEvent(lowered, MachineConfig::unit(), streams, opts);
-  expectIdentical(r.cp, r.ed, "compiled fallback on gated graph");
+  expectIdentical(r.cp, r.ed, "compiled fallback on data-steered gates");
   ASSERT_TRUE(r.cp.completed) << r.cp.note;
   EXPECT_TRUE(r.cp.compiled.requested);
   EXPECT_FALSE(r.cp.compiled.accepted);
-  EXPECT_NE(r.cp.compiled.reason.find("declined (gated-delivery)"),
+  EXPECT_FALSE(r.cp.compiled.fastForwarded);
+  EXPECT_NE(r.cp.compiled.reason.find("declined (data-dependent-control)"),
             std::string::npos)
       << r.cp.compiled.reason;
   EXPECT_NE(r.cp.compiled.reason.find("falling back to event-driven"),
@@ -363,42 +626,29 @@ TEST(CompiledFallback, GatedGraphFallsBackWithStructuredReason) {
 }
 
 TEST(CompiledFallback, ErrorModeThrowsScheduleDeclined) {
-  const auto prog = core::compile(core::frontend(testing::example1Source(8)));
+  const auto prog = core::compile(core::frontend(conditionalSource(8)));
   const dfg::Graph lowered = dfg::expandFifos(prog.graph);
-  val::ArrayMap in;
-  in["B"] = randomArray({0, 9}, 61);
-  in["C"] = randomArray({0, 9}, 62);
-  const run::StreamMap streams = testing::inputsFor(prog, in);
+  const run::StreamMap streams = seededInputs(prog, 61, -1.0, 1.0);
   RunOptions opts;
   opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
   opts.scheduler = SchedulerKind::Compiled;
   opts.compiledFallback = core::CompiledFallback::Error;
-  EXPECT_THROW(
-      machine::simulate(lowered, MachineConfig::unit(), streams, opts),
-      sched::ScheduleDeclined);
-}
-
-TEST(CompiledFallback, FeedbackSchemesFallBackBitIdentical) {
-  // Both for-iter schemes carry feedback cycles the IR declines; the
-  // compiled scheduler must still match the event-driven run exactly.
-  for (ForIterScheme scheme : {ForIterScheme::Todd, ForIterScheme::Companion}) {
-    CompileOptions copts;
-    copts.forIterScheme = scheme;
-    const auto prog =
-        core::compile(core::frontend(testing::example2Source(32)), copts);
-    const dfg::Graph lowered = dfg::expandFifos(prog.graph);
-    val::ArrayMap in;
-    in["A"] = randomArray({1, 32}, 71, -0.8, 0.8);
-    in["B"] = randomArray({1, 32}, 72);
-    const run::StreamMap streams = testing::inputsFor(prog, in);
-    RunOptions opts;
-    opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
-    const CompiledRun r =
-        runCompiledVsEvent(lowered, MachineConfig::unit(), streams, opts);
-    expectIdentical(r.cp, r.ed, "compiled fallback on for-iter scheme");
-    ASSERT_TRUE(r.cp.completed) << r.cp.note;
-    EXPECT_FALSE(r.cp.compiled.accepted);
+  try {
+    machine::simulate(lowered, MachineConfig::unit(), streams, opts);
+    ADD_FAILURE() << "expected ScheduleDeclined";
+  } catch (const sched::ScheduleDeclined& e) {
+    EXPECT_EQ(e.decline(), sched::Decline::InputControl) << e.what();
   }
+  // A control-static graph is no decline under Error: it fast-forwards.
+  const auto ex1 = core::compile(core::frontend(testing::example1Source(64)));
+  RunOptions ex1Opts = expectWaves(ex1, 1);
+  ex1Opts.scheduler = SchedulerKind::Compiled;
+  ex1Opts.compiledFallback = core::CompiledFallback::Error;
+  const MachineResult ok =
+      machine::simulate(dfg::expandFifos(ex1.graph), MachineConfig::unit(),
+                        seededInputs(ex1, 63), ex1Opts);
+  EXPECT_TRUE(ok.completed) << ok.note;
+  EXPECT_TRUE(ok.compiled.tapeReplay) << ok.compiled.reason;
 }
 
 }  // namespace

@@ -5,12 +5,15 @@
 // core::compile() equals the composition of the named phases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/compiler.hpp"
 #include "core/phases.hpp"
 #include "dfg/graph.hpp"
 #include "dfg/lower.hpp"
 #include "exec/executable_graph.hpp"
 #include "opt/fuse.hpp"
+#include "sched/control.hpp"
 #include "sched/schedule.hpp"
 #include "sched/steady_loop.hpp"
 #include "testing.hpp"
@@ -140,6 +143,47 @@ TEST(SchedIr, DeclinesGatedDelivery) {
   const std::string text = s.explain(exec::ExecutableGraph(g));
   EXPECT_NE(text.find("declined (gated-delivery)"), std::string::npos) << text;
   EXPECT_NE(text.find("falls back to event-driven"), std::string::npos) << text;
+}
+
+TEST(SchedIr, PatternSteeredGateIsControlStatic) {
+  // The gate above reads a compile-time sequence: declined by the IR, yet
+  // the compiled scheduler may fast-forward it by firing-tape replay.
+  Graph g;
+  const auto a = g.input("a", 8);
+  const auto ctl = g.boolSeq(dfg::BoolPattern::runs(1, 6, 1), "ctl");
+  const auto gid = g.gatedIdentity(Graph::out(a), Graph::out(ctl), "gid");
+  g.output("x", Graph::outT(gid));
+  const exec::ExecutableGraph eg(g);
+  EXPECT_FALSE(sched::inputSteersControl(eg));
+  const std::vector<bool> cone = sched::controlCone(eg);
+  EXPECT_EQ(std::count(cone.begin(), cone.end(), true), 1);
+  const SteadySchedule s = computeSteadySchedule(eg);
+  ASSERT_FALSE(s.accepted);
+  EXPECT_EQ(s.decline, Decline::Gate);
+  EXPECT_TRUE(s.controlStatic);
+  EXPECT_NE(s.explain(eg).find("firing tape"), std::string::npos)
+      << s.explain(eg);
+}
+
+TEST(SchedIr, DeclinesInputSteeredControl) {
+  // The Fig. 5 shape: the gate reads a comparison of input data.
+  Graph g;
+  const auto a = g.input("a", 8);
+  const auto c = g.input("c", 8);
+  const auto pos =
+      g.binary(Op::Gt, Graph::out(c), Graph::lit(Value(0.0)), "pos");
+  const auto gid = g.gatedIdentity(Graph::out(a), Graph::out(pos), "gid");
+  g.output("x", Graph::outT(gid));
+  const exec::ExecutableGraph eg(g);
+  EXPECT_TRUE(sched::inputSteersControl(eg));
+  const SteadySchedule s = computeSteadySchedule(eg);
+  ASSERT_FALSE(s.accepted);
+  EXPECT_EQ(s.decline, Decline::InputControl);
+  EXPECT_FALSE(s.controlStatic);
+  const std::string text = s.explain(eg);
+  EXPECT_NE(text.find("declined (data-dependent-control)"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("firing tape"), std::string::npos) << text;
 }
 
 TEST(SchedIr, DeclinesDataDependentMerge) {

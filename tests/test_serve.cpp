@@ -5,7 +5,12 @@
 // the whole subsystem is concurrent by construction.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,6 +94,76 @@ TEST(Serve, OneShotMatchesDirectRunAndHitsTheCache) {
   EXPECT_EQ(st.requestsCompleted, std::uint64_t(kN));
   EXPECT_EQ(st.requestsFailed, 0u);
   EXPECT_EQ(st.lanesExecuted, std::uint64_t(kN));
+  server.shutdown();
+}
+
+/// This process's mapped address space in KiB (VmSize of /proc/self/status;
+/// 0 when unreadable).
+std::int64_t mappedKiB() {
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  while (in >> key) {
+    if (key == "VmSize:") {
+      std::int64_t kib = 0;
+      in >> kib;
+      return kib;
+    }
+    in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// Threads of this process, read from /proc/self/task (0 when unreadable).
+std::size_t processThreads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec))
+    ++n;
+  return n;
+}
+
+TEST(Serve, OneShotPumpsAreJoinedAsNewRequestsArrive) {
+  // Every submit() starts an input-pump thread; a long-lived server must not
+  // accumulate one per past request.  A finished thread leaves the task
+  // list on its own, but until it is joined its stack stays mapped, so the
+  // address space shows what the task list cannot.
+  const std::size_t before = processThreads();
+  if (before == 0 || mappedKiB() == 0)
+    GTEST_SKIP() << "/proc/self is not readable";
+  pthread_attr_t attr;
+  std::size_t stack = 0;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  serve::ServerConfig cfg;
+  cfg.workers = 2;
+  serve::Server server(cfg);
+  const std::string src = testing::example1Source(8);
+  const auto prog = core::compileSource(src, copts());
+  const run::StreamMap in = tenantInputs(prog, 7);
+  const auto oneShot = [&] {
+    const serve::Response r = server.submit(src, copts(), in).get();
+    ASSERT_TRUE(r.ok()) << serve::toString(r.status) << ": " << r.error;
+  };
+  // Warm up first: the allocator maps its per-thread arenas once.
+  for (int i = 0; i < 16; ++i) oneShot();
+  const std::int64_t mappedBefore = mappedKiB();
+  constexpr int kRequests = 64;
+  for (int i = 0; i < kRequests; ++i) oneShot();
+  // The workers, plus at most the pumps still winding down after settling
+  // their futures (the latest one, and one the next submit() would reap).
+  EXPECT_LE(processThreads(), before + cfg.workers + 2);
+  // Unjoined pumps would map kRequests stacks; joined ones are recycled.
+  // (Sanitizer runtimes map their own per-thread state; skip it there.)
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  EXPECT_LT(mappedKiB() - mappedBefore,
+            static_cast<std::int64_t>(stack / 1024) * (kRequests / 4))
+      << "default thread stack " << stack / 1024 << " KiB";
+#else
+  (void)mappedBefore;
+  (void)stack;
+#endif
   server.shutdown();
 }
 

@@ -82,10 +82,53 @@ void mustNotCrash(const Bytes& b, const std::string& what) {
   }
 }
 
+TEST(ServeWireFuzz, SchedulerCodesAreFrozen) {
+  // The table clients of every protocol revision speak; the byte on the
+  // wire must not follow core::SchedulerKind's declaration order.
+  const std::pair<core::SchedulerKind, std::uint8_t> table[] = {
+      {core::SchedulerKind::EventDriven, 0},
+      {core::SchedulerKind::Synchronous, 2},
+      {core::SchedulerKind::Reference, 3},
+      {core::SchedulerKind::Compiled, 4},
+  };
+  // Locate the scheduler byte: the only one two encodings differ in.
+  serve::WireOptions a, b;
+  b.scheduler = core::SchedulerKind::Compiled;
+  const Bytes fa = serve::encodeOpen(1, "src", a);
+  const Bytes fb = serve::encodeOpen(1, "src", b);
+  ASSERT_EQ(fa.size(), fb.size());
+  std::size_t at = fa.size();
+  for (std::size_t i = 0; i < fa.size(); ++i)
+    if (fa[i] != fb[i]) at = i;
+  ASSERT_LT(at, fa.size());
+  for (const auto& [kind, code] : table) {
+    EXPECT_EQ(serve::schedulerCode(kind), code);
+    EXPECT_EQ(serve::schedulerFromCode(code), kind);
+    serve::WireOptions wo;
+    wo.scheduler = kind;
+    const Bytes f = serve::encodeOpen(1, "src", wo);
+    EXPECT_EQ(f[at], code);
+    const serve::ClientMsg m = serve::parseClient(f.data(), f.size());
+    EXPECT_EQ(m.options.scheduler, kind);
+  }
+  // Code 1 was the removed sharded parallel scheduler; 5 was never used.
+  Bytes f = fa;
+  f[at] = 1;
+  try {
+    serve::parseClient(f.data(), f.size());
+    ADD_FAILURE() << "scheduler code 1 decoded";
+  } catch (const serve::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("parallel"), std::string::npos)
+        << e.what();
+  }
+  f[at] = 5;
+  EXPECT_THROW(serve::parseClient(f.data(), f.size()), serve::ProtocolError);
+}
+
 TEST(ServeWireFuzz, RoundtripEveryMessageType) {
   serve::WireOptions wo;
   wo.fuseFifos = false;
-  wo.scheduler = 2;
+  wo.scheduler = core::SchedulerKind::Synchronous;
   wo.waves = 5;
   wo.watchdog = 42;
   wo.maxInstructionTimes = 99;
