@@ -90,11 +90,24 @@ inline RateResult measureRate(const core::CompiledProgram& prog,
           res.packets};
 }
 
+/// Field-identity over every MachineResult field the scheduler-equivalence
+/// contract covers (the tests' expectIdentical, as a predicate).
+inline bool identical(const machine::MachineResult& a,
+                      const machine::MachineResult& b) {
+  return a.outputs == b.outputs && a.amFinal == b.amFinal &&
+         a.outputTimes == b.outputTimes && a.firings == b.firings &&
+         a.totalFirings == b.totalFirings && a.cycles == b.cycles &&
+         a.completed == b.completed && a.note == b.note &&
+         a.packets.opPacketsByClass == b.packets.opPacketsByClass &&
+         a.packets.resultPackets == b.packets.resultPackets &&
+         a.packets.ackPackets == b.packets.ackPackets &&
+         a.packets.networkResultPackets == b.packets.networkResultPackets &&
+         a.fuBusy == b.fuBusy && a.pePackets == b.pePackets;
+}
+
 /// Scheduler kind as the string recorded in reports.
 inline const char* schedulerName(machine::SchedulerKind k) {
   switch (k) {
-    case machine::SchedulerKind::Reference: return "Reference";
-    case machine::SchedulerKind::Synchronous: return "Synchronous";
     case machine::SchedulerKind::EventDriven: return "EventDriven";
     case machine::SchedulerKind::Compiled: return "Compiled";
   }

@@ -185,18 +185,6 @@ Timed runTimed(const Workload& w, SchedulerKind kind, int reps = 5) {
   return best;
 }
 
-/// Bit-identity across everything a client could observe.
-bool identical(const machine::MachineResult& a,
-               const machine::MachineResult& b) {
-  return a.outputs == b.outputs && a.outputTimes == b.outputTimes &&
-         a.firings == b.firings && a.totalFirings == b.totalFirings &&
-         a.cycles == b.cycles && a.completed == b.completed &&
-         a.packets.opPacketsByClass == b.packets.opPacketsByClass &&
-         a.packets.resultPackets == b.packets.resultPackets &&
-         a.packets.ackPackets == b.packets.ackPackets &&
-         a.packets.networkResultPackets == b.packets.networkResultPackets;
-}
-
 void BM_CompiledFig2(benchmark::State& state) {
   Workload w;
   w.name = "fig2";
@@ -245,7 +233,7 @@ int main(int argc, char** argv) {
   for (const Workload& w : workloads(m)) {
     const Timed ed = runTimed(w, SchedulerKind::EventDriven);
     const Timed cp = runTimed(w, SchedulerKind::Compiled);
-    const bool same = identical(ed.res, cp.res);
+    const bool same = bench::identical(ed.res, cp.res);
     allIdentical = allIdentical && same;
     const double speedup = ed.seconds / cp.seconds;
     const auto& ci = cp.res.compiled;

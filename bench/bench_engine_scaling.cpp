@@ -1,13 +1,14 @@
-// ES — engine scaling: throughput of the three schedulers (reference
-// stepper, flattened synchronous rescan, event-driven ready queue) on the
-// F2 / F6 / F8 workload graphs as the array extent m grows.
+// ES — engine scaling: throughput of the event-driven scheduler against the
+// Reference rescan stepper (machine::simulateReference) on the F2 / F6 / F8
+// workload graphs as the array extent m grows.
 //
 // The reference stepper costs O(cells) re-derived enabling work per
-// instruction time; the flattened engines share an ExecutableGraph lowered
-// once, and the event-driven scheduler only examines cells with a wake
-// event.  Throughput is reported as cells x cycles per second of wall time
-// (simulated cell-cycles per second), the natural unit for a rescan-style
-// simulator.  All schedulers must produce identical outputs.
+// instruction time; the event-driven scheduler runs on an ExecutableGraph
+// lowered once and only examines cells with a wake event.  Throughput is
+// reported as cells x cycles per second of wall time (simulated cell-cycles
+// per second), the natural unit for a rescan-style simulator.  Both must
+// produce field-identical MachineResults; the binary exits 1 when any row
+// does not, so it doubles as a large-m equivalence check.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -17,7 +18,6 @@
 namespace {
 
 using namespace valpipe;
-using machine::SchedulerKind;
 
 /// Figure 2's three-stage pipeline, verbatim.
 dfg::Graph figure2Graph(std::int64_t n) {
@@ -100,15 +100,17 @@ struct Timed {
   double seconds = 0.0;
 };
 
-Timed runTimed(const Workload& w, SchedulerKind kind, int reps = 3) {
-  machine::RunOptions opts = w.opts;
-  opts.scheduler = kind;
+/// Best of `reps` event-driven runs, or Reference oracle runs when
+/// `reference`.
+Timed runTimed(const Workload& w, bool reference, int reps = 3) {
+  const machine::MachineConfig cfg = machine::MachineConfig::unit();
   Timed best;
   best.seconds = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    machine::MachineResult res = machine::simulate(
-        w.lowered, machine::MachineConfig::unit(), w.inputs, opts);
+    machine::MachineResult res =
+        reference ? machine::simulateReference(w.lowered, cfg, w.inputs, w.opts)
+                  : machine::simulate(w.lowered, cfg, w.inputs, w.opts);
     const auto t1 = std::chrono::steady_clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
     if (s < best.seconds) best = {std::move(res), s};
@@ -121,18 +123,16 @@ double cellCyclesPerSec(const Workload& w, const Timed& t) {
          static_cast<double>(t.res.cycles) / t.seconds;
 }
 
-void BM_Scheduler(benchmark::State& state, SchedulerKind kind) {
+void BM_Engine(benchmark::State& state, bool reference) {
   const Workload w = f6Workload(state.range(0));
   for (auto _ : state) {
-    auto t = runTimed(w, kind);
+    auto t = runTimed(w, reference);
     benchmark::DoNotOptimize(t.res.cycles);
   }
 }
-void BM_Reference(benchmark::State& s) { BM_Scheduler(s, SchedulerKind::Reference); }
-void BM_Synchronous(benchmark::State& s) { BM_Scheduler(s, SchedulerKind::Synchronous); }
-void BM_EventDriven(benchmark::State& s) { BM_Scheduler(s, SchedulerKind::EventDriven); }
+void BM_Reference(benchmark::State& s) { BM_Engine(s, true); }
+void BM_EventDriven(benchmark::State& s) { BM_Engine(s, false); }
 BENCHMARK(BM_Reference)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Synchronous)->Arg(256)->Arg(1024);
 BENCHMARK(BM_EventDriven)->Arg(256)->Arg(1024)->Arg(4096);
 
 }  // namespace
@@ -141,27 +141,23 @@ int main(int argc, char** argv) {
   using namespace valpipe;
   bench::banner(
       "ES (engine scaling)",
-      "reference stepper vs flattened synchronous vs event-driven scheduler",
+      "reference stepper vs event-driven scheduler",
       "identical results; event-driven >= 2x cell-cycles/sec on the m=4096 "
       "F6 forall graph");
 
   bench::BenchJson json("engine_scaling");
-  json.meta("workload", "F2 / F6 / F8 graphs, schedulers side by side");
+  json.meta("workload", "F2 / F6 / F8 graphs, reference vs event-driven");
   TextTable table({"workload", "m", "cells", "cycles", "ref Mcc/s",
-                   "sync Mcc/s", "ed Mcc/s", "ed/ref", "same"});
+                   "ed Mcc/s", "ed/ref", "same"});
   double f6At4096Speedup = 0.0;
+  bool allSame = true;
   for (std::int64_t m : {std::int64_t(64), std::int64_t(256),
                          std::int64_t(1024), std::int64_t(4096)}) {
     for (const Workload& w : {f2Workload(m), f6Workload(m), f8Workload(m)}) {
-      const Timed ref = runTimed(w, SchedulerKind::Reference);
-      const Timed sync = runTimed(w, SchedulerKind::Synchronous);
-      const Timed ed = runTimed(w, SchedulerKind::EventDriven);
-      const bool same = ref.res.outputs == ed.res.outputs &&
-                        ref.res.outputs == sync.res.outputs &&
-                        ref.res.cycles == ed.res.cycles &&
-                        ref.res.cycles == sync.res.cycles &&
-                        ref.res.totalFirings == ed.res.totalFirings &&
-                        ref.res.totalFirings == sync.res.totalFirings;
+      const Timed ref = runTimed(w, /*reference=*/true);
+      const Timed ed = runTimed(w, /*reference=*/false);
+      const bool same = bench::identical(ed.res, ref.res);
+      allSame = allSame && same;
       const double speedup =
           cellCyclesPerSec(w, ed) / cellCyclesPerSec(w, ref);
       if (w.name == "F6 forall" && m == 4096) f6At4096Speedup = speedup;
@@ -169,7 +165,6 @@ int main(int argc, char** argv) {
                     std::to_string(w.lowered.size()),
                     std::to_string(ref.res.cycles),
                     fmtDouble(cellCyclesPerSec(w, ref) / 1e6, 3),
-                    fmtDouble(cellCyclesPerSec(w, sync) / 1e6, 3),
                     fmtDouble(cellCyclesPerSec(w, ed) / 1e6, 3),
                     fmtDouble(speedup, 2), same ? "yes" : "NO"});
       bench::JsonObj row;
@@ -177,7 +172,6 @@ int main(int argc, char** argv) {
           .add("m", m)
           .add("cells", static_cast<std::int64_t>(w.lowered.size()))
           .add("ref_mccs", cellCyclesPerSec(w, ref) / 1e6)
-          .add("sync_mccs", cellCyclesPerSec(w, sync) / 1e6)
           .add("ed_mccs", cellCyclesPerSec(w, ed) / 1e6)
           .add("ed_over_ref", speedup)
           .add("identical", same);
@@ -186,9 +180,15 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.str().c_str());
   std::printf("acceptance: event-driven vs reference on F6 forall, m=4096: "
-              "%.2fx (target >= 2x) %s\n\n",
+              "%.2fx (target >= 2x) %s\n",
               f6At4096Speedup, f6At4096Speedup >= 2.0 ? "PASS" : "FAIL");
+  // The speed line is informational (wall-clock on a shared host flaps);
+  // field identity is the gate.
+  std::printf("identity: every row field-identical to the reference %s\n\n",
+              allSame ? "PASS" : "FAIL");
   json.meta("f6_m4096_ed_over_ref", f6At4096Speedup);
+  json.meta("all_identical", allSame);
   json.write();
+  if (!allSame) return 1;
   return bench::runTimings(argc, argv);
 }

@@ -15,10 +15,9 @@
 //     --dot                                   print Graphviz to stdout
 //     --run [waves]                           simulate with ramp inputs
 //     --scheduler KIND                        machine scheduler for --run:
-//                                             event | sync | reference |
-//                                             compiled (all bit-identical;
-//                                             compiled fast-forwards the
-//                                             steady state)
+//                                             event | compiled (bit-
+//                                             identical; compiled fast-
+//                                             forwards the steady state)
 //     --explain-schedule                      dump the static-schedule IR
 //                                             (hyper-period, per-cell slots,
 //                                             or the decline reason)
@@ -74,7 +73,7 @@ namespace {
                "usage: valc [--scheme S] [--forall F] [--balance B] [--skip K]"
                " [--batch N] [--routing R] [-O | --no-fuse] [--dot]"
                " [--run [waves]]"
-               " [--scheduler event|sync|reference|compiled]"
+               " [--scheduler event|compiled]"
                " [--explain-schedule] [--classify] [--profile] [--trace FILE]"
                " [--faults SPEC] [--guards] [--watchdog N]"
                " [--checkpoint-every N] [--checkpoint-file F] [--restore F]"
@@ -150,11 +149,9 @@ int main(int argc, char** argv) {
       haveFaults = true;
     } else if (arg == "--scheduler") {
       const std::string s = next();
-      scheduler = s == "event"       ? core::SchedulerKind::EventDriven
-                  : s == "sync"      ? core::SchedulerKind::Synchronous
-                  : s == "reference" ? core::SchedulerKind::Reference
-                  : s == "compiled"  ? core::SchedulerKind::Compiled
-                                     : (usage(), core::SchedulerKind::EventDriven);
+      scheduler = s == "event"      ? core::SchedulerKind::EventDriven
+                  : s == "compiled" ? core::SchedulerKind::Compiled
+                                    : (usage(), core::SchedulerKind::EventDriven);
     } else if (arg == "--explain-schedule") {
       explainSchedule = true;
     } else if (arg == "--guards") {

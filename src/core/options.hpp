@@ -40,13 +40,13 @@ enum class BalanceMode {
 /// (the conventional layout the 1/8-traffic claim is measured against).
 enum class ArrayRouting { Stream, Memory };
 
-/// Which machine scheduler executes the lowered graph.  Every kind is
+/// Which machine scheduler executes the lowered graph.  Both kinds are
 /// bit-identical in all MachineResult fields; they differ only in how the
-/// statically known schedule of §3 is (re)discovered at runtime.
+/// statically known schedule of §3 is (re)discovered at runtime.  (The
+/// verification oracle is not a scheduler: tests and benches reach it
+/// through machine::simulateReference.)
 enum class SchedulerKind {
   EventDriven,  ///< time wheel + ready queue (the default)
-  Synchronous,  ///< full cell rescan per instruction time
-  Reference,    ///< naive reference stepper (oracle)
   /// Steady-state backend: event-driven fill/drain with the periodic middle
   /// fast-forwarded in bulk, through the sched::SteadySchedule IR's value
   /// loop or, on graphs the IR declines whose control is input-independent,

@@ -1,13 +1,10 @@
 // Timed machine simulation over the flattened exec::ExecutableGraph.
 //
-// The engine (state, firing discipline, and both serial run loops) is
+// The engine (state, firing discipline, and the event loop) is
 // detail::Engine (machine/engine_impl.hpp).  This file supplies the
-// MachineResult rate helpers and the one simulate() entry point that
-// dispatches on RunOptions::scheduler:
+// MachineResult rate helpers and the simulate() entry point that dispatches
+// on RunOptions::scheduler:
 //
-//   Reference   → machine/engine_reference.cpp (pointer-walking oracle over
-//                 dfg::Graph);
-//   Synchronous → Engine::runSynchronous (full rescan);
 //   EventDriven → Engine::runEventDriven (time wheel);
 //   Compiled    → detail::runCompiled (machine/engine_compiled.cpp): the
 //                 event loop with a steady-state detector hooked in,
@@ -49,10 +46,8 @@ double MachineResult::steadyRate(const std::string& stream) const {
 MachineResult simulate(const dfg::Graph& lowered, const MachineConfig& cfg,
                        const run::StreamMap& inputs, const RunOptions& opts) {
   // Both lowering paths are accepted: expanded graphs (dfg::expandFifos, no
-  // Fifo nodes) and fused graphs whose composite Fifo cells the engines fire
+  // Fifo nodes) and fused graphs whose composite Fifo cells the engine fires
   // through the timing-equivalent ring-buffer rule (exec/fifo.hpp).
-  if (opts.scheduler == SchedulerKind::Reference)
-    return detail::simulateReference(lowered, cfg, inputs, opts);
   const ExecutableGraph eg(lowered);
   return simulate(lowered, eg, cfg, inputs, opts);
 }
@@ -60,32 +55,21 @@ MachineResult simulate(const dfg::Graph& lowered, const MachineConfig& cfg,
 MachineResult simulate(const dfg::Graph& lowered, const ExecutableGraph& eg,
                        const MachineConfig& cfg, const run::StreamMap& inputs,
                        const RunOptions& opts) {
-  if (opts.scheduler == SchedulerKind::Reference)
-    return detail::simulateReference(lowered, cfg, inputs, opts);
   detail::Engine engine(eg, cfg, inputs, opts);
   engine.lowered = &lowered;
   if (opts.restoreFrom) detail::restore(engine, *opts.restoreFrom);
-  const char* label = "EventDriven";
   if (opts.trace) opts.trace->begin(detail::traceMetaFor(lowered, opts));
   if (opts.metrics) opts.metrics->begin(eg.size());
   engine.probe = obs::LaneProbe(opts.trace, opts.metrics);
-  switch (opts.scheduler) {
-    case SchedulerKind::Synchronous:
-      label = "Synchronous";
-      engine.schedLabel = label;
-      engine.runSynchronous();
-      break;
-    case SchedulerKind::Compiled:
-      label = "Compiled";
-      engine.schedLabel = label;
-      detail::runCompiled(engine);
-      break;
-    default:
-      engine.runEventDriven();
-      break;
+  if (opts.scheduler == SchedulerKind::Compiled) {
+    engine.schedLabel = "Compiled";
+    detail::runCompiled(engine);
+  } else {
+    engine.runEventDriven();
   }
   if (opts.metrics)
-    opts.metrics->finishRun(label, engine.result.cycles, engine.result.fuBusy);
+    opts.metrics->finishRun(engine.schedLabel, engine.result.cycles,
+                            engine.result.fuBusy);
   if (opts.trace) opts.trace->seal();
   return std::move(engine.result);
 }

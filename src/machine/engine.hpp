@@ -9,22 +9,20 @@
 // of one firing per two instruction times under the unit profile, and k/S for
 // a feedback cycle of S stages carrying a dependence distance of k.
 //
-// The simulator runs on a flattened exec::ExecutableGraph and offers four
-// schedulers with bit-identical results:
+// The simulator runs on a flattened exec::ExecutableGraph and offers two
+// schedulers with bit-identical results, picked by RunOptions::scheduler:
 //   - EventDriven (default): a cell is re-examined only when a token arrives,
 //     an acknowledge frees a destination, a function unit frees, or its own
 //     firing completes — work scales with firings, not cells x cycles;
-//   - Synchronous: rescans every cell each instruction time on the flat
-//     representation (diagnostic middle ground);
-//   - Reference: the original pointer-walking stepper over dfg::Graph, kept
-//     verbatim as the verification oracle and bench baseline (selected via
-//     RunOptions::scheduler — the one way to pick a scheduler);
 //   - Compiled: the steady-state backend — event-driven fill and drain with
 //     the periodic middle of the run fast-forwarded whole periods at a time
 //     (machine/engine_compiled), values reconstructed by the
 //     sched::SteadySchedule IR's loop or, on graphs the IR declines whose
 //     control is input-independent, by replaying a recorded firing tape;
 //     plain EventDriven when control depends on input data or array memory.
+// simulateReference is the verification oracle the tests and benches check
+// both against: a plain rescan stepper over dfg::Graph with its own
+// derivation of the firing rule.
 //
 // The graph must carry no unresolved sugar beyond Op::Fifo, which the
 // simulator accepts in either lowered form: expanded into an Id chain
@@ -61,7 +59,7 @@ namespace valpipe::machine {
 using PacketCounters = exec::PacketCounters;
 
 /// Which scheduler drives the simulation (core/options.hpp, so compile-time
-/// tooling can name a scheduler without linking the machine).  All kinds
+/// tooling can name a scheduler without linking the machine).  Both kinds
 /// produce identical results; they differ only in how much work they spend
 /// rediscovering the statically known schedule.
 using SchedulerKind = core::SchedulerKind;
@@ -127,9 +125,6 @@ struct MachineResult {
 };
 
 /// Simulates `lowered` under `cfg` with the scheduler chosen in `opts`.
-/// This is the one entry point; the verification oracle is reached with
-/// SchedulerKind::Reference (the old simulateReference free function is
-/// gone).
 MachineResult simulate(const dfg::Graph& lowered, const MachineConfig& cfg,
                        const run::StreamMap& inputs,
                        const RunOptions& opts = {});
@@ -139,11 +134,23 @@ MachineResult simulate(const dfg::Graph& lowered, const MachineConfig& cfg,
 /// this overload lets a long-lived caller — the serving layer's
 /// compile-once program cache — flatten once and share the immutable
 /// ExecutableGraph across any number of concurrent runs.  `lowered` is
-/// still consulted for the Reference scheduler, trace metadata, and the
-/// stall diagnosis.
+/// still consulted for trace metadata and the stall diagnosis.
 MachineResult simulate(const dfg::Graph& lowered,
                        const exec::ExecutableGraph& eg,
                        const MachineConfig& cfg, const run::StreamMap& inputs,
                        const RunOptions& opts = {});
+
+/// The verification oracle (machine/engine_reference.cpp), for tests and
+/// benches: a rescan stepper over `lowered` that derives the §2/§3 firing
+/// rule on its own — composite FIFOs, FU pools, placement, quiescence, the
+/// run-length caps and the obs probe — and must agree with simulate() in
+/// every compared MachineResult field.  `opts.scheduler` is ignored.  It
+/// rejects runs that carry faults, guards, watchdog, checkpoints,
+/// restoreFrom or deadlineMicros: those features live once, in the
+/// production engine.
+MachineResult simulateReference(const dfg::Graph& lowered,
+                                const MachineConfig& cfg,
+                                const run::StreamMap& inputs,
+                                const RunOptions& opts = {});
 
 }  // namespace valpipe::machine

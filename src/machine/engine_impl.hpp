@@ -3,27 +3,20 @@
 //
 // detail::Engine owns a run's whole dynamic state and implements the §2/§3
 // firing discipline once — enabling test, firing effects, acknowledge
-// bookkeeping — plus the two serial run loops that drive it:
+// bookkeeping — plus the run loop that drives it: runEventLoop examines
+// only cells woken by an event (token arrival, acknowledge, function-unit
+// release, own-firing completion, array-memory store), popped per
+// instruction time from exec::ReadyQueue and scanned in rotating priority
+// order.  runEventDriven is the plain instantiation; the compiled scheduler
+// (machine/engine_compiled.cpp) instantiates it with a per-step hook that
+// watches for a steady state and fast-forwards the run by whole periods.
 //
-//   runSynchronous — rescans every cell each instruction time with rotating
-//                    priority, the original stepper's schedule on the flat
-//                    representation;
-//   runEventLoop   — examines only cells woken by an event (token arrival,
-//                    acknowledge, function-unit release, own-firing
-//                    completion, array-memory store), popped per instruction
-//                    time from exec::ReadyQueue and scanned in the same
-//                    rotating priority order.  runEventDriven is the plain
-//                    instantiation; the compiled scheduler
-//                    (machine/engine_compiled.cpp) instantiates it with a
-//                    per-step hook that watches for a steady state and
-//                    fast-forwards the run by whole periods.
-//
-// Both phases of an examined instruction time are kept two-phase (all
-// enabling decisions before any firing is applied), and candidate cells are
-// ordered exactly as the full rescan orders them, so every MachineResult
+// Every examined instruction time is two-phase (all enabling decisions
+// before any firing is applied), and candidate cells are ordered exactly as
+// a full rescan starting at now % cells orders them, so every MachineResult
 // field — outputs, arrival times, per-cell firings, cycles, packet and
 // busy-time counters — is bit-identical across the schedulers and the
-// Reference stepper (machine/engine_reference.cpp).
+// Reference rescan stepper (machine/engine_reference.cpp).
 //
 // This header is internal to src/machine (it is not part of the public
 // simulate() surface); it exists so engine_compiled.cpp and
@@ -89,8 +82,7 @@ struct Engine {
 
   exec::FuPool fu;
   exec::StopCondition stop;
-  /// The time wheel; present only while the event loop runs (the rescan
-  /// needs no wakes).
+  /// The time wheel; present only while the event loop runs.
   std::optional<exec::ReadyQueue> queue;
   std::optional<guard::State> gst;
 
@@ -113,8 +105,8 @@ struct Engine {
   std::vector<std::pair<std::uint32_t, std::int64_t>>* wakeLog = nullptr;
 
   /// Instruction time of the most recent firing (-1 before any), maintained
-  /// by both run loops; part of the quiescence decision and therefore part
-  /// of the state a fast-forward (or a snapshot) must carry.
+  /// by the run loop; part of the quiescence decision and therefore part of
+  /// the state a fast-forward (or a snapshot) must carry.
   std::int64_t lastFire_ = -1;
 
   /// Scheduler label recorded in captured snapshots (set by the dispatch).
@@ -592,70 +584,10 @@ struct Engine {
     result.packets = packets;
   }
 
-  /// Original schedule: rescan all cells each instruction time with rotating
-  /// priority for fairness under FU contention.
-  void runSynchronous() {
-    const std::size_t n = eg.size();
-    std::vector<std::uint32_t> toFire;
-    toFire.reserve(n);
-    const std::int64_t window = idleWindow();
-    const std::int64_t floorTime = inj.quiesceFloor();
-    const std::int64_t cap = capCycles();
-    std::int64_t idle = 0;
-    std::int64_t first = 0;
-    if (opts.restoreFrom) {
-      // State was seeded by restore(); resume at the next step with the idle
-      // counter the uninterrupted run would carry there.
-      first = now + 1;
-      idle = now - lastFire_;
-      if (stop.outputsComplete()) {  // snapshot taken at the final boundary
-        result.completed = true;
-        now = first;
-        finish();
-        return;
-      }
-    }
-
-    for (now = first; now < cap; ++now) {
-      checkDeadline();
-      toFire.clear();
-      const std::size_t start =
-          n == 0 ? 0 : static_cast<std::size_t>(now) % n;
-      for (std::size_t k = 0; k < n; ++k) {
-        const auto id = static_cast<std::uint32_t>((start + k) % n);
-        if (!enabled(id)) continue;
-        const dfg::FuClass fc = eg.cell(id).fu;
-        if (const std::int64_t until = inj.outageUntil(fc, now); until > now) {
-          probe.denied(id, now, until);
-          continue;
-        }
-        if (!fu.tryGrant(fc, now)) {
-          probe.denied(id, now, fu.nextFree(fc));
-          continue;
-        }
-        toFire.push_back(id);
-      }
-      for (std::uint32_t id : toFire) fire(id);
-
-      if (!toFire.empty()) lastFire_ = now;
-      maybeCheckpoint();
-      if (stop.outputsComplete()) {
-        result.completed = true;
-        ++now;
-        break;
-      }
-      idle = toFire.empty() ? idle + 1 : 0;
-      if (idle > window && now >= floorTime) {
-        quiesce();
-        break;
-      }
-    }
-    finish();
-  }
-
   /// Event-driven schedule: advance directly to the next instruction time
-  /// with a woken cell; candidates are examined in the same rotating order
-  /// the rescan would use, so the two loops stay bit-identical.
+  /// with a woken cell; candidates are examined in the rotating order a full
+  /// rescan would use, so the run stays bit-identical to the Reference
+  /// stepper.
   ///
   /// `afterStep(toFire)` runs once per examined instruction time, after
   /// phase B (and the lastFire_ update) and before the completion check.
@@ -803,13 +735,5 @@ inline obs::TraceMeta traceMetaFor(const dfg::Graph& lowered,
     m.peOf.assign(opts.placement->peOf.begin(), opts.placement->peOf.end());
   return m;
 }
-
-/// The original pointer-walking stepper over dfg::Graph, kept verbatim as
-/// the verification oracle (machine/engine_reference.cpp); reached through
-/// simulate() with SchedulerKind::Reference.
-MachineResult simulateReference(const dfg::Graph& lowered,
-                                const MachineConfig& cfg,
-                                const run::StreamMap& inputs,
-                                const RunOptions& opts);
 
 }  // namespace valpipe::machine::detail

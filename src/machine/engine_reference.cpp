@@ -1,29 +1,25 @@
-// The original synchronous stepper over dfg::Graph, kept verbatim.
+// The verification oracle: a plain rescan stepper over dfg::Graph.
 //
-// This is the pre-ExecutableGraph engine: it rescans every cell each
-// instruction time and re-derives destination lists through dfg::Wiring.  It
-// serves two purposes: (a) verification oracle — the equivalence tests assert
-// the event-driven scheduler reproduces its MachineResult bit-for-bit; and
-// (b) bench baseline — bench_engine_scaling reports the flattened engines'
-// speedup against it.  Do not optimize this file; its value is that it stays
-// the same.  (Two sanctioned additions: the fault-injection/guard/watchdog
-// hooks — the resilience layer must cover every scheduler, the oracle
-// included, and each hook is a null test when the run carries no plan or
-// guard config — and the composite-FIFO firing rule, which the oracle must
-// implement so fused graphs stay cross-checkable; it mirrors
-// Engine::fireFifo over exec::FifoState and is inert on expanded
-// graphs.)
+// simulateReference derives the §2/§3 schedule on its own, apart from
+// detail::Engine: it rescans every cell each instruction time with rotating
+// priority, keeps per-node operand slots, and re-derives destination lists
+// through dfg::Wiring.  It holds only what the equivalence tests compare
+// against — the firing rule (the composite-FIFO rule included, over
+// exec::FifoState as Engine::fireFifo does, so fused graphs stay
+// cross-checkable), FU pools, placement with the inter-PE delay, quiescence,
+// the maxCycles / maxInstructionTimes caps — and the obs probe, whose trace
+// is the independent schedule record the production schedulers' traces are
+// compared with.  Faults, guards, the stall diagnosis, checkpoints, restore
+// and deadlines live once, in detail::Engine; a run asking the oracle for
+// one is rejected.  Keep this file plain: its value is a second, simple
+// derivation of the schedule, not speed.
 #include <algorithm>
-#include <chrono>
-#include <limits>
 #include <optional>
+#include <string>
 
 #include "exec/fifo.hpp"
-#include "guard/diagnosis.hpp"
 #include "machine/engine.hpp"
 #include "machine/engine_impl.hpp"
-#include "machine/engine_snapshot.hpp"
-#include "recover/snapshot.hpp"
 #include "support/check.hpp"
 
 namespace valpipe::machine {
@@ -63,34 +59,19 @@ struct ReferenceEngine {
   std::vector<CellState> state;
   /// Composite-FIFO ring state (Fifo nodes of depth >= 2 only); mutable
   /// because the const phase-A enabled() caches its accept/emit decision
-  /// there, exactly as the flattened engines do through their fifoDyn
-  /// pointer.
+  /// there, exactly as detail::Engine does in its fifoDyn.
   mutable std::vector<exec::FifoState> fifo;
   std::array<std::vector<std::int64_t>, 4> fuFreeAt;  ///< per class unit pool
   MachineResult result;
   std::int64_t now = 0;
   /// Observability hooks (inert unless the run carries sinks); recording a
-  /// schedule the flattened engines must reproduce is part of this file's
+  /// schedule the flattened engine must reproduce is part of this file's
   /// oracle duty, and every call is a null test when off.
   obs::LaneProbe probe;
-  /// Fault injector and invariant guards, same zero-cost contract as probe.
-  fault::Injector inj;
-  guard::LaneGuard grd;
-  /// Flattened view used only to name arcs for guards and stall diagnosis
-  /// (cell i of the flattening is node i of `g`); built lazily.
-  std::optional<exec::ExecutableGraph> egv;
-  std::optional<guard::State> gst;
-  /// Checkpoint / restore / deadline plumbing (mirrors detail::Engine's).
-  std::int64_t lastFire_ = -1;
-  std::int64_t nextCkpt_ = std::numeric_limits<std::int64_t>::max();
-  std::chrono::steady_clock::time_point ddlAt_{};
-  std::uint32_t ddlTick_ = 0;
-  bool restored_ = false;
 
   ReferenceEngine(const Graph& graph, const MachineConfig& config,
                   const run::StreamMap& in, const RunOptions& o)
       : g(graph), cfg(config), wiring(graph), inputs(in), opts(o) {
-    inj = fault::Injector(opts.faults);
     fifo.resize(g.size());
     for (NodeId id : g.ids()) {
       const Node& n = g.node(id);
@@ -99,11 +80,6 @@ struct ReferenceEngine {
                           "composite FIFO cell must have one ungated operand");
         fifo[id.index].init(n.fifoDepth);
       }
-    }
-    if (opts.guards) {
-      egv.emplace(g);
-      gst.emplace(*egv);
-      grd = guard::LaneGuard(opts.guards, &*gst, &*egv);
     }
     state.resize(g.size());
     result.firings.assign(g.size(), 0);
@@ -137,12 +113,6 @@ struct ReferenceEngine {
       result.pePackets.assign(static_cast<std::size_t>(opts.placement->peCount),
                               0);
     }
-    if (opts.checkpoints && opts.checkpointEvery > 0)
-      nextCkpt_ = (opts.restoreFrom ? opts.restoreFrom->now : 0) +
-                  opts.checkpointEvery;
-    if (opts.deadlineMicros > 0)
-      ddlAt_ = std::chrono::steady_clock::now() +
-               std::chrono::microseconds(opts.deadlineMicros);
   }
 
   std::int64_t sourceLimit(const Node& n) const {
@@ -261,12 +231,6 @@ struct ReferenceEngine {
     return destsFree(id, gateVal);
   }
 
-  /// Flat operand-slot index of (id, port) in the lazily built flattening;
-  /// only meaningful while guards are active (grd is inert otherwise).
-  std::uint32_t guardSlot(NodeId id, int port) const {
-    return egv ? egv->slotOf(egv->cell(id.index), port) : 0;
-  }
-
   void consume(NodeId id, int port) {
     const Node& n = g.node(id);
     Slot& s = port == dfg::kGatePort ? state[id.index].gate
@@ -274,20 +238,10 @@ struct ReferenceEngine {
     const dfg::PortSrc& src =
         port == dfg::kGatePort ? *n.gate : n.inputs[port];
     if (src.isLiteral()) return;
-    grd.onConsume(id.index, guardSlot(id, port), s.full, now);
     s.full = false;
     ++result.packets.ackPackets;
-    if (inj.dropAck()) {
-      // The acknowledge is lost: the producer never sees the slot freed.
-      s.freedAt = fault::kLostPacket;
-      return;
-    }
     s.freedAt = now + cfg.ackDelay;
     probe.ack(src.producer.index, id.index, now, s.freedAt);
-    grd.onAck(src.producer.index, guardSlot(id, port), now);
-    // Acks are instantaneous freedAt stamps here, so a duplicated ack has
-    // no physical effect — but the guards still see (and flag) it.
-    if (inj.dupAck()) grd.onAck(src.producer.index, guardSlot(id, port), now);
   }
 
   /// Delivers a produced result into every destination slot.  Shared by the
@@ -297,8 +251,7 @@ struct ReferenceEngine {
                std::optional<bool> gateVal) {
     if (opts.placement)
       ++result.pePackets[static_cast<std::size_t>(opts.placement->of(id))];
-    const std::int64_t arrive =
-        now + cfg.latencyOf(n.op) + cfg.routeDelay + inj.execJitter();
+    const std::int64_t arrive = now + cfg.latencyOf(n.op) + cfg.routeDelay;
     for (const dfg::DestRef& d : wiring.deliveredDests(id, gateVal)) {
       Slot& s = d.port == dfg::kGatePort ? state[d.consumer.index].gate
                                          : state[d.consumer.index].ports[d.port];
@@ -310,22 +263,11 @@ struct ReferenceEngine {
         at += cfg.interPeDelay;
         ++result.packets.networkResultPackets;
       }
-      at += inj.deliveryDelay();
       ++result.packets.resultPackets;
-      const std::uint32_t gslot = guardSlot(d.consumer, d.port);
-      grd.onSend(id.index, gslot, now);
-      // A dropped result still occupies the slot (the producer must stay
-      // blocked) but never becomes ready; see Engine::deliver.
-      if (inj.dropResult()) at = fault::kLostPacket;
-      const int copies = inj.dupResult() ? 2 : 1;
-      for (int k = 0; k < copies; ++k) {
-        grd.onDeliver(d.consumer.index, gslot, s.full, at);
-        VALPIPE_CHECK_MSG(!s.full,
-                          "result packet delivered into occupied slot");
-        s.full = true;
-        s.v = out;
-        s.readyAt = at;
-      }
+      VALPIPE_CHECK_MSG(!s.full, "result packet delivered into occupied slot");
+      s.full = true;
+      s.v = out;
+      s.readyAt = at;
       probe.result(id.index, d.consumer.index, now, at);
     }
   }
@@ -354,8 +296,6 @@ struct ReferenceEngine {
       f.push(v, t, now);
       consume(id, 0);
     }
-    grd.onFifoFire(id.index, guardSlot(id, 0), f.accepted, f.emitted, f.depth,
-                   now);
   }
 
   /// Phase B: applies the firing of `id` at time `now`.
@@ -465,211 +405,28 @@ struct ReferenceEngine {
     return true;
   }
 
-  /// Flattens the pointer-walking state into the shared exec form and
-  /// throws the diagnosed StallError (cold path).
-  [[noreturn]] void throwStall(const char* why) {
-    if (!egv) egv.emplace(g);
-    std::vector<exec::Slot> flat(egv->slotCount());
-    std::vector<exec::CellDyn> dyn(g.size());
-    const auto put = [&](const Slot& s, std::uint32_t slot) {
-      flat[slot].full = s.full;
-      flat[slot].v = s.v;
-      flat[slot].readyAt = s.readyAt;
-      flat[slot].freedAt = s.freedAt;
-    };
-    for (NodeId id : g.ids()) {
-      const exec::Cell& c = egv->cell(id.index);
-      const CellState& cs = state[id.index];
-      for (std::size_t p = 0; p < cs.ports.size(); ++p)
-        put(cs.ports[p], egv->slotOf(c, static_cast<int>(p)));
-      if (g.node(id).gate) put(cs.gate, egv->slotOf(c, dfg::kGatePort));
-      dyn[id.index].emitted = cs.emitted;
-      dyn[id.index].busyUntil = cs.busyUntil;
-    }
-    std::vector<guard::OutputProgress> progress;
-    for (const auto& [name, want] : opts.expectedOutputs) {
-      auto it = result.outputs.find(name);
-      progress.push_back(
-          {name, want,
-           it == result.outputs.end()
-               ? 0
-               : static_cast<std::int64_t>(it->second.size())});
-    }
-    throw run::StallError(
-        now, guard::diagnoseStall(why, &g, *egv, flat.data(), dyn.data(), now,
-                                  progress, inj.counters));
-  }
-
-  /// Captures the pointer-walking state in the scheduler-portable snapshot
-  /// form, flattening slots through the same slotOf mapping throwStall uses
-  /// (so a snapshot restores identically into any engine).
-  recover::Snapshot capture() {
-    if (!egv) egv.emplace(g);
-    recover::Snapshot s;
-    s.cells = g.size();
-    s.slotCount = egv->slotCount();
-    s.origin = "Reference";
-    s.now = now;
-    s.lastFire = lastFire_;
-    s.slots.resize(egv->slotCount());
-    s.cellDyn.resize(g.size());
-    for (NodeId id : g.ids()) {
-      const Node& n = g.node(id);
-      const exec::Cell& c = egv->cell(id.index);
-      const CellState& cs = state[id.index];
-      const auto put = [&](const Slot& sl, std::uint32_t slot) {
-        s.slots[slot] = {sl.full, sl.v, sl.readyAt, sl.freedAt};
-      };
-      for (std::size_t p = 0; p < cs.ports.size(); ++p)
-        put(cs.ports[p], egv->slotOf(c, static_cast<int>(p)));
-      if (n.gate) put(cs.gate, egv->slotOf(c, dfg::kGatePort));
-      s.cellDyn[id.index] = {cs.emitted, cs.busyUntil,
-                             result.firings[id.index]};
-      if (isComposite(n))
-        s.fifos.push_back(detail::toFifoImage(id.index, fifo[id.index]));
-    }
-    s.packets = result.packets;
-    s.totalFirings = result.totalFirings;
-    s.fuBusy = result.fuBusy;
-    s.fuFreeAt = fuFreeAt;
-    if (opts.placement) s.pePackets = result.pePackets;
-    s.outputs = result.outputs;
-    s.outputTimes = result.outputTimes;
-    s.amFinal = result.amFinal;
-    if (gst) {
-      s.hasGuards = true;
-      s.guardSent = gst->sent;
-      s.guardAcked = gst->acked;
-      s.guardDelivered = gst->delivered;
-      s.guardConsumed = gst->consumed;
-    }
-    if (inj.active()) s.rngState = inj.rngState();
-    s.faultCounters = inj.counters;
-    s.clean = detail::scanClean(s.slots);
-    return s;
-  }
-
-  /// Inverse of capture() over a freshly constructed engine; run() then
-  /// resumes from s.now + 1 (no wake set to reseed — the rescan examines
-  /// everything anyway).
-  void restore(const recover::Snapshot& s) {
-    if (!egv) egv.emplace(g);
-    VALPIPE_CHECK_MSG(s.cells == g.size() && s.slotCount == egv->slotCount() &&
-                          s.slots.size() == s.slotCount &&
-                          s.cellDyn.size() == s.cells,
-                      "snapshot does not match the graph");
-    VALPIPE_CHECK_MSG(!gst || s.hasGuards,
-                      "cannot enable guards when restoring a snapshot "
-                      "captured without them");
-    for (NodeId id : g.ids()) {
-      const Node& n = g.node(id);
-      const exec::Cell& c = egv->cell(id.index);
-      CellState& cs = state[id.index];
-      const auto get = [&](Slot& sl, std::uint32_t slot) {
-        const recover::SlotImage& img = s.slots[slot];
-        sl = {img.full, img.v, img.readyAt, img.freedAt};
-      };
-      for (std::size_t p = 0; p < cs.ports.size(); ++p)
-        get(cs.ports[p], egv->slotOf(c, static_cast<int>(p)));
-      if (n.gate) get(cs.gate, egv->slotOf(c, dfg::kGatePort));
-      const recover::CellImage& img = s.cellDyn[id.index];
-      cs.emitted = img.emitted;
-      cs.busyUntil = img.busyUntil;
-      result.firings[id.index] = img.firings;
-    }
-    for (const recover::FifoImage& img : s.fifos) {
-      VALPIPE_CHECK_MSG(
-          img.cell < g.size() &&
-              g.node(NodeId{img.cell}).fifoDepth == img.depth,
-          "snapshot FIFO ring does not match the graph");
-      fifo[img.cell] = detail::fifoStateOf(img);
-    }
-    result.packets = s.packets;
-    result.totalFirings = s.totalFirings;
-    result.fuBusy = s.fuBusy;
-    for (int c = 0; c < 4; ++c) {
-      VALPIPE_CHECK_MSG(
-          s.fuFreeAt[static_cast<std::size_t>(c)].size() == fuFreeAt[c].size(),
-          "snapshot FU pool does not match the configuration");
-      fuFreeAt[c] = s.fuFreeAt[static_cast<std::size_t>(c)];
-    }
-    if (opts.placement) {
-      VALPIPE_CHECK_MSG(s.pePackets.size() == result.pePackets.size(),
-                        "snapshot PE counters do not match the placement");
-      result.pePackets = s.pePackets;
-    }
-    result.outputs = s.outputs;
-    result.outputTimes = s.outputTimes;
-    result.amFinal = s.amFinal;
-    if (gst && s.hasGuards) {
-      VALPIPE_CHECK_MSG(s.guardSent.size() == gst->sent.size(),
-                        "snapshot guard counters do not match the graph");
-      gst->sent = s.guardSent;
-      gst->acked = s.guardAcked;
-      gst->delivered = s.guardDelivered;
-      gst->consumed = s.guardConsumed;
-    }
-    if (inj.active() && s.rngState) inj.setRngState(*s.rngState);
-    inj.counters = s.faultCounters;
-    now = s.now;
-    lastFire_ = s.lastFire;
-    restored_ = true;
-  }
-
-  void maybeCheckpoint() {
-    if (now < nextCkpt_) return;
-    opts.checkpoints->add(capture());
-    nextCkpt_ = now + opts.checkpointEvery;
-  }
-
-  void checkDeadline() {
-    if (opts.deadlineMicros <= 0 || (++ddlTick_ & 255u) != 0) return;
-    if (std::chrono::steady_clock::now() >= ddlAt_)
-      throw run::DeadlineError(now, opts.deadlineMicros);
-  }
-
   void run() {
     const std::size_t n = g.size();
     std::vector<NodeId> toFire;
     toFire.reserve(n);
     // Quiescence: nothing fired for longer than any in-flight delay can
-    // span — injected delays included; the caller's watchdog may lengthen
-    // the window further.
-    std::int64_t settle =
-        2 + cfg.routeDelay + cfg.ackDelay +
-        *std::max_element(cfg.execLatency.begin(), cfg.execLatency.end()) +
-        inj.maxExtraDelay();
-    // A composite FIFO can sit with tokens maturing inside its ring while
-    // no cell fires; widen the window so that gap is not read as deadlock.
+    // span.  A composite FIFO can sit with tokens maturing inside its ring
+    // while no cell fires; widen the window so that gap is not read as
+    // deadlock.
     int maxFifoDepth = 0;
     for (NodeId id : g.ids())
       if (g.node(id).op == Op::Fifo)
         maxFifoDepth = std::max(maxFifoDepth, g.node(id).fifoDepth);
-    settle += exec::fifoSettleSlack(maxFifoDepth, fifoTiming());
-    if (opts.watchdog > 0) settle = std::max(settle, opts.watchdog);
-    const std::int64_t floorTime = inj.quiesceFloor();
+    const std::int64_t settle =
+        2 + cfg.routeDelay + cfg.ackDelay +
+        *std::max_element(cfg.execLatency.begin(), cfg.execLatency.end()) +
+        exec::fifoSettleSlack(maxFifoDepth, fifoTiming());
     const std::int64_t cap = opts.maxInstructionTimes > 0
                                  ? std::min(opts.maxInstructionTimes,
                                             opts.maxCycles)
                                  : opts.maxCycles;
     std::int64_t idle = 0;
-    std::int64_t first = 0;
-    if (restored_) {
-      // Resume at the next step with the idle counter the uninterrupted run
-      // would carry there.
-      first = now + 1;
-      idle = now - lastFire_;
-      if (outputsComplete()) {  // snapshot taken at the final boundary
-        result.completed = true;
-        now = first;
-        result.faults = inj.counters;
-        result.cycles = now;
-        return;
-      }
-    }
-
-    for (now = first; now < cap; ++now) {
-      checkDeadline();
+    for (now = 0; now < cap; ++now) {
       // Phase A: enabling decisions against start-of-cycle state, with
       // rotating priority for fairness under FU contention.
       toFire.clear();
@@ -677,12 +434,6 @@ struct ReferenceEngine {
       for (std::size_t k = 0; k < n; ++k) {
         const NodeId id{static_cast<std::uint32_t>((start + k) % n)};
         if (!enabled(id)) continue;
-        if (const std::int64_t until =
-                inj.outageUntil(dfg::fuClass(g.node(id).op), now);
-            until > now) {
-          probe.denied(id.index, now, until);
-          continue;
-        }
         if (!grantUnit(g.node(id).op)) {
           probe.denied(id.index, now, unitNextFree(g.node(id).op));
           continue;
@@ -692,41 +443,47 @@ struct ReferenceEngine {
       // Phase B: apply.
       for (NodeId id : toFire) fire(id);
 
-      if (!toFire.empty()) lastFire_ = now;
-      maybeCheckpoint();
       if (outputsComplete()) {
         result.completed = true;
         ++now;
         break;
       }
       idle = toFire.empty() ? idle + 1 : 0;
-      if (idle > settle && now >= floorTime) {
+      if (idle > settle) {
         result.completed = opts.expectedOutputs.empty() || outputsComplete();
-        if (!result.completed) {
-          if (opts.watchdog > 0)
-            throwStall("watchdog: no cell fired within the idle window");
-          result.note = "deadlock: outputs incomplete";
-        }
+        if (!result.completed) result.note = "deadlock: outputs incomplete";
         break;
       }
     }
     if (!result.completed && opts.maxInstructionTimes > 0 && now >= cap &&
         !opts.expectedOutputs.empty())
-      throwStall("instruction-time cap reached with outputs incomplete");
+      throw run::StallError(now, "reference stepper: instruction-time cap "
+                                 "reached at t=" + std::to_string(now) +
+                                 " with incomplete outputs");
     if (now >= opts.maxCycles) result.note = "maxCycles exceeded";
-    result.faults = inj.counters;
     result.cycles = now;
   }
 };
 
 }  // namespace
 
-MachineResult detail::simulateReference(const dfg::Graph& lowered,
-                                        const MachineConfig& cfg,
-                                        const run::StreamMap& inputs,
-                                        const RunOptions& opts) {
+MachineResult simulateReference(const dfg::Graph& lowered,
+                                const MachineConfig& cfg,
+                                const run::StreamMap& inputs,
+                                const RunOptions& opts) {
+  const char* unsupported = opts.faults               ? "faults"
+                            : opts.guards             ? "guards"
+                            : opts.watchdog > 0       ? "watchdog"
+                            : opts.checkpoints        ? "checkpoints"
+                            : opts.restoreFrom        ? "restoreFrom"
+                            : opts.deadlineMicros > 0 ? "deadlineMicros"
+                                                      : nullptr;
+  VALPIPE_CHECK_MSG(unsupported == nullptr,
+                    std::string("the reference stepper does not support "
+                                "RunOptions::") +
+                        unsupported +
+                        "; run EventDriven or Compiled through simulate()");
   ReferenceEngine engine(lowered, cfg, inputs, opts);
-  if (opts.restoreFrom) engine.restore(*opts.restoreFrom);
   if (opts.trace) opts.trace->begin(detail::traceMetaFor(lowered, opts));
   if (opts.metrics) opts.metrics->begin(lowered.size());
   engine.probe = obs::LaneProbe(opts.trace, opts.metrics);

@@ -1,23 +1,21 @@
 // Engine-side checkpoint capture / restore helpers (internal header).
 //
 // recover/snapshot.hpp defines the scheduler-portable state format; this
-// header holds the machinery every timed engine shares when moving between
-// that format and its live state:
+// header holds the machinery for moving between that format and the live
+// state of detail::Engine (which both EventDriven and Compiled run):
 //
-//   capture / restore               — the flattened engine (EventDriven,
-//                                     Synchronous, and Compiled, which runs
-//                                     the same engine);
-//   toFifoImage / fifoStateOf       — composite-FIFO ring conversion, also
-//                                     used by the Reference engine;
+//   capture / restore               — the whole engine state;
+//   toFifoImage / fifoStateOf       — composite-FIFO ring conversion;
 //   scanClean                       — the kLostPacket poison scan deciding
 //                                     Snapshot::clean;
 //   seedRestoreWakes                — reconstruction of the event-driven
 //                                     wake set from materialized state.
 //
-// Why wake reconstruction is sound.  The Synchronous scheduler examines
-// every cell at every instruction time and is bit-identical to EventDriven:
-// the enabling test and two-phase firing discipline are insensitive to
-// *extra* examinations — an examined-but-not-enabled cell changes nothing.
+// Why wake reconstruction is sound.  The two-phase enabling test reads only
+// start-of-cycle state, and an examined-but-not-enabled cell changes
+// nothing, so *extra* examinations are harmless: a loop that examined every
+// cell at every instruction time (the Reference oracle does exactly that)
+// yields the same schedule as one that examines only woken cells.
 // Correctness of the event-driven schedule therefore needs only that no
 // enabling-edge time is *missed*.  At a step boundary, every pending wheel
 // entry of the uninterrupted run is one of: a consumer wake at a full slot's
@@ -28,9 +26,9 @@
 // waking every cell once at now + 1; and the FU/outage retries re-arm
 // themselves from that same sweep (phase A re-issues the retry wake whenever
 // an enabled cell is denied).  Extra wakes the uninterrupted run would not
-// have had are harmless by the Synchronous-equivalence argument — they may
-// add obs probe `denied` events, which are deliberately outside the
-// MachineResult equivalence contract.
+// have had are harmless by the same argument — they may add obs probe
+// `denied` events, which are deliberately outside the MachineResult
+// equivalence contract.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +45,7 @@ namespace valpipe::machine::detail {
 struct Engine;
 
 /// Captures the complete state of the engine after phase B of step `e.now`
-/// (EventDriven / Synchronous / Compiled capture points).
+/// (EventDriven / Compiled capture points).
 recover::Snapshot capture(const Engine& e, const char* origin);
 
 /// Seeds a freshly constructed engine from `s` (validated against the

@@ -10,12 +10,12 @@
 // sorts it into one canonical stream when the run ends.
 //
 // Determinism contract: Fire / Result / Ack events are a pure function of
-// the simulated schedule, which is bit-identical across every SchedulerKind,
-// so their canonical stream is identical across Reference, Synchronous,
-// EventDriven and Compiled.  FuDenied events are per-*examination*
-// diagnostics: identical between EventDriven and Compiled (which re-examine
-// a denied cell only when a unit frees), but more frequent under the rescan
-// schedulers, which re-examine every cycle.
+// the simulated schedule, which is bit-identical across the schedulers and
+// the Reference oracle, so their canonical stream is identical across
+// EventDriven, Compiled and machine::simulateReference.  FuDenied events are
+// per-*examination* diagnostics: identical between EventDriven and Compiled
+// (which re-examine a denied cell only when a unit frees), but more frequent
+// under the Reference rescan, which re-examines every cycle.
 //
 // Cost contract: tracing off is a null-pointer test per firing hook (the
 // LaneProbe fast path in obs/probe.hpp); no sink, no cost.

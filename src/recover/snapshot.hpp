@@ -7,17 +7,16 @@
 // arrival times, firing counts, packet counters.  recover::Snapshot is that
 // complete dynamic state, flattened the way the engines already flatten it
 // (exec::Slot / exec::CellDyn / exec::FifoState parallel arrays over the
-// ExecutableGraph's slot numbering); every scheduler — EventDriven,
-// Synchronous, Compiled, and the Reference oracle — captures into and
-// restores from this one format, so a snapshot taken under one scheduler
-// resumes under any other.
+// ExecutableGraph's slot numbering); both schedulers — EventDriven and
+// Compiled — capture into and restore from this one format, so a snapshot
+// taken under one resumes under the other.
 //
 // What is deliberately NOT captured: the time wheel.  Wake entries are
 // derivable from the materialized state (a full slot's readyAt wakes its
 // consumer, a freed slot's freedAt wakes its producer, a composite FIFO's
-// ring stamps give its maturation times), and the engines' enabling test is
-// stable under *extra* examinations — the Synchronous scheduler examines
-// every cell every instruction time and is bit-identical to EventDriven.
+// ring stamps give its maturation times), and the two-phase enabling test
+// is stable under *extra* examinations — it reads only start-of-cycle
+// state, and an examined cell that is not enabled changes nothing.
 // Restore therefore reseeds a conservative wake set from state alone
 // (machine/engine_snapshot.hpp) instead of serializing scheduler internals.
 //

@@ -188,25 +188,24 @@ struct Reader {
 std::uint8_t schedulerCode(core::SchedulerKind kind) {
   switch (kind) {
     case core::SchedulerKind::EventDriven: return 0;
-    case core::SchedulerKind::Synchronous: return 2;
-    case core::SchedulerKind::Reference: return 3;
     case core::SchedulerKind::Compiled: return 4;
   }
   throw ProtocolError("scheduler has no wire code");
 }
 
 core::SchedulerKind schedulerFromCode(std::uint8_t code) {
+  const char* removed = nullptr;
   switch (code) {
     case 0: return core::SchedulerKind::EventDriven;
-    case 1:
-      throw ProtocolError(
-          "scheduler 1 (the sharded parallel scheduler) was removed; request "
-          "event-driven (0) or compiled (4)");
-    case 2: return core::SchedulerKind::Synchronous;
-    case 3: return core::SchedulerKind::Reference;
     case 4: return core::SchedulerKind::Compiled;
+    case 1: removed = "the sharded parallel scheduler"; break;
+    case 2: removed = "the synchronous rescan scheduler"; break;
+    case 3: removed = "the reference stepper"; break;
     default: throw ProtocolError("unknown scheduler " + std::to_string(code));
   }
+  throw ProtocolError("scheduler " + std::to_string(code) + " (" + removed +
+                      ") was removed; request event-driven (0) or compiled "
+                      "(4)");
 }
 
 core::CompileOptions WireOptions::compileOptions() const {

@@ -14,9 +14,10 @@
 //   stream     = u32 element count + that many values
 //   stream map = u32 stream count + that many (string name, stream) pairs
 //   scheduler  = u8 code from a frozen table (schedulerCode): EventDriven 0,
-//                Synchronous 2, Reference 3, Compiled 4.  Code 1 named the
-//                removed sharded parallel scheduler and is refused.  The
-//                codes are the protocol's own, independent of the order of
+//                Compiled 4.  Codes 1-3 named removed schedulers (sharded
+//                parallel, synchronous rescan, reference stepper) and are
+//                refused with a ProtocolError naming them.  The codes are
+//                the protocol's own, independent of the order of
 //                core::SchedulerKind, so a change there cannot silently
 //                re-route an older client's requests.
 //

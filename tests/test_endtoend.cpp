@@ -3,6 +3,8 @@
 // Examples 1 and 2 and the Figure 3 composition.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "testing.hpp"
 
 namespace valpipe {
@@ -113,7 +115,10 @@ TEST(EndToEnd, MultipleWavesStreamThrough) {
 }
 
 // Integer overflow is an error on every path, never a wrapped number: with
-// A[i] = 1, A[i] * 2^62 + 2^62 = 2^63 does not fit in int64.
+// A[i] = 1, A[i] * 2^62 + 2^62 = 2^63 does not fit in int64.  The evaluator,
+// the interpreter, the Reference oracle and both schedulers must all raise
+// ValueError on it ("error equals error"), and all return the same values
+// on a near-2^62 input that stays in range.
 TEST(EndToEnd, IntegerOverflowIsAnErrorOnEvaluatorAndMachine) {
   const std::string src = R"(const m = 4
 function f(A: array[integer] [1, m] returns array[integer])
@@ -123,18 +128,62 @@ function f(A: array[integer] [1, m] returns array[integer])
 endfun
 )";
   const val::Module mod = core::frontend(src);
-  val::ArrayMap in;
-  in["A"].lo = 1;
-  in["A"].elems = {Value(0), Value(-1), Value(1), Value(0)};
-  EXPECT_THROW(val::evaluate(mod, in), ValueError);
-
   const core::CompiledProgram prog = core::compile(mod);
-  machine::RunOptions opts;
-  opts.scheduler = machine::SchedulerKind::EventDriven;
-  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
-  EXPECT_THROW(machine::simulate(prog.graph, machine::MachineConfig::unit(),
-                                 testing::inputsFor(prog, in), opts),
-               ValueError);
+  const auto onMachine = [&](const val::ArrayMap& in, bool reference,
+                             machine::SchedulerKind kind) {
+    machine::RunOptions opts;
+    opts.scheduler = kind;
+    opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
+    const run::StreamMap streams = testing::inputsFor(prog, in);
+    const machine::MachineConfig cfg = machine::MachineConfig::unit();
+    return (reference
+                ? machine::simulateReference(prog.graph, cfg, streams, opts)
+                : machine::simulate(prog.graph, cfg, streams, opts))
+        .outputs.at(prog.outputName);
+  };
+  using Path = std::function<std::vector<Value>(const val::ArrayMap&)>;
+  const std::pair<const char*, Path> paths[] = {
+      {"evaluator",
+       [&](const val::ArrayMap& in) {
+         return val::evaluate(mod, in).result.elems;
+       }},
+      {"interpreter",
+       [&](const val::ArrayMap& in) {
+         return sim::interpret(prog.graph, testing::inputsFor(prog, in))
+             .outputs.at(prog.outputName);
+       }},
+      {"reference",
+       [&](const val::ArrayMap& in) {
+         return onMachine(in, true, machine::SchedulerKind::EventDriven);
+       }},
+      {"event-driven",
+       [&](const val::ArrayMap& in) {
+         return onMachine(in, false, machine::SchedulerKind::EventDriven);
+       }},
+      {"compiled",
+       [&](const val::ArrayMap& in) {
+         return onMachine(in, false, machine::SchedulerKind::Compiled);
+       }},
+  };
+  const auto array = [](std::vector<Value> elems) {
+    val::ArrayMap in;
+    in["A"].lo = 1;
+    in["A"].elems = std::move(elems);
+    return in;
+  };
+
+  const val::ArrayMap overflowing =
+      array({Value(0), Value(-1), Value(1), Value(0)});
+  for (const auto& [name, path] : paths)
+    EXPECT_THROW(path(overflowing), ValueError) << name;
+
+  const std::int64_t big = std::int64_t{1} << 62;
+  const val::ArrayMap inRange =
+      array({Value(0), Value(-1), Value(0), Value(-1)});
+  const std::vector<Value> want = {Value(big), Value(std::int64_t{0}),
+                                   Value(big), Value(std::int64_t{0})};
+  for (const auto& [name, path] : paths)
+    EXPECT_EQ(path(inRange), want) << name;
 }
 
 }  // namespace

@@ -1,22 +1,28 @@
 // Scheduler-equivalence suite: on randomly generated Val programs (primitive
-// expressions, forall and for-iter blocks) the event-driven scheduler must
-// produce a MachineResult bit-identical to the reference stepper — every
-// field, not just outputs — under varied timing profiles, finite FU pools,
-// placements and multi-wave runs; and the outputs must match the functional
+// expressions, forall and for-iter blocks) the EventDriven and Compiled
+// schedulers must produce a MachineResult bit-identical to the reference
+// stepper (machine::simulateReference) — every field, not just outputs —
+// under varied timing profiles, finite FU pools, placements and multi-wave
+// runs; and the outputs must match the functional
 // reference evaluator while sustaining the compiler's predicted steady rate
 // (1/2 for pipelines, 1/3 for Todd's scheme, k/S for a cycle of S stages
 // carrying k tokens).
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/compiler.hpp"
 #include "dfg/lower.hpp"
+#include "fault/plan.hpp"
 #include "generators.hpp"
 #include "guard/guard.hpp"
 #include "machine/engine.hpp"
 #include "machine/placement.hpp"
 #include "obs/metrics.hpp"
 #include "opt/fuse.hpp"
+#include "recover/snapshot.hpp"
 #include "sched/schedule.hpp"
+#include "support/check.hpp"
 #include "testing.hpp"
 #include "val/eval.hpp"
 
@@ -35,25 +41,21 @@ using testing::randomArray;
 
 using testing::expectIdentical;
 
-/// Runs all four single-threaded schedulers on the same workload and checks
-/// the flattened ones against the reference stepper field-by-field.  The
-/// Compiled scheduler rides along on every workload: accepted graphs take
-/// the fast-forward path, everything else exercises its fallback paths —
-/// either way the result must stay bit-identical.
+/// Runs both schedulers on the same workload and checks them against the
+/// reference stepper field-by-field.  The Compiled scheduler rides along on
+/// every workload: accepted graphs take the fast-forward path, everything
+/// else exercises its fallback paths — either way the result must stay
+/// bit-identical.
 MachineResult runAllSchedulers(const dfg::Graph& lowered,
                                const MachineConfig& cfg,
                                const run::StreamMap& in, RunOptions opts,
                                const std::string& what) {
-  opts.scheduler = SchedulerKind::Reference;
-  const MachineResult ref = machine::simulate(lowered, cfg, in, opts);
+  const MachineResult ref = machine::simulateReference(lowered, cfg, in, opts);
   opts.scheduler = SchedulerKind::EventDriven;
   const MachineResult ed = machine::simulate(lowered, cfg, in, opts);
-  opts.scheduler = SchedulerKind::Synchronous;
-  const MachineResult sync = machine::simulate(lowered, cfg, in, opts);
   opts.scheduler = SchedulerKind::Compiled;
   const MachineResult cp = machine::simulate(lowered, cfg, in, opts);
   expectIdentical(ed, ref, what + " [event-driven vs reference]");
-  expectIdentical(sync, ref, what + " [synchronous vs reference]");
   expectIdentical(cp, ref, what + " [compiled vs reference]");
   EXPECT_TRUE(cp.compiled.requested) << what;
   return ref;
@@ -158,6 +160,47 @@ TEST(SchedulerEquivalence, DeadlockMaxCyclesAndQuiescenceAgree) {
   const MachineResult res = runAllSchedulers(
       lowered, MachineConfig::unit(), streams, open, "quiescence");
   EXPECT_TRUE(res.completed);
+}
+
+TEST(ReferenceOracle, RejectsRunsAskingForEngineOnlyFeatures) {
+  const auto prog = core::compile(core::frontend(testing::example1Source(8)));
+  const dfg::Graph lowered = dfg::expandFifos(prog.graph);
+  val::ArrayMap in;
+  in["B"] = randomArray({0, 9}, 13);
+  in["C"] = randomArray({0, 9}, 14);
+  const run::StreamMap streams = testing::inputsFor(prog, in);
+  const fault::Plan plan;
+  const guard::Config guards;
+  recover::CheckpointLog log;
+  const recover::Snapshot snap;
+  const std::pair<const char*, std::function<void(RunOptions&)>> cases[] = {
+      {"faults", [&](RunOptions& o) { o.faults = &plan; }},
+      {"guards", [&](RunOptions& o) { o.guards = &guards; }},
+      {"watchdog", [](RunOptions& o) { o.watchdog = 100; }},
+      {"checkpoints",
+       [&](RunOptions& o) {
+         o.checkpoints = &log;
+         o.checkpointEvery = 4;
+       }},
+      {"restoreFrom", [&](RunOptions& o) { o.restoreFrom = &snap; }},
+      {"deadlineMicros", [](RunOptions& o) { o.deadlineMicros = 1'000'000; }},
+  };
+  for (const auto& [field, set] : cases) {
+    RunOptions opts;
+    set(opts);
+    try {
+      machine::simulateReference(lowered, MachineConfig::unit(), streams,
+                                 opts);
+      ADD_FAILURE() << field << ": the reference stepper accepted it";
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("RunOptions::") + field),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Without them the oracle runs, and agrees with the production engine.
+  runAllSchedulers(lowered, MachineConfig::unit(), streams, RunOptions{},
+                   "plain");
 }
 
 TEST(SchedulerEquivalence, ForallSustainsPredictedHalfRate) {

@@ -2,12 +2,12 @@
 // layer's contract):
 //
 //   * timing faults (latency jitter, delivery delay, FU outages) change only
-//     *when* packets move — on random
-//     programs, every scheduler under every seeded timing plan must produce
+//     *when* packets move — on random programs, both production schedulers
+//     (EventDriven, Compiled) under every seeded timing plan must produce
 //     outputs AND packet counters bit-identical to the fault-free Reference
-//     run.  This is the machine-level restatement of the paper's determinacy
-//     claim: the §2 acknowledge discipline makes results data-determined,
-//     independent of timing.
+//     run (machine::simulateReference).  This is the machine-level
+//     restatement of the paper's determinacy claim: the §2 acknowledge
+//     discipline makes results data-determined, independent of timing.
 //
 //   * destructive faults (dropped / duplicated result and acknowledge
 //     packets) break the discipline on purpose — a run under them must end
@@ -41,21 +41,14 @@ using testing::GenOptions;
 using testing::ProgramGen;
 using testing::randomArray;
 
+/// The production schedulers; the fault-free oracle is simulateReference.
 constexpr SchedulerKind kAllSchedulers[] = {
-    SchedulerKind::Reference,
     SchedulerKind::EventDriven,
-    SchedulerKind::Synchronous,
     SchedulerKind::Compiled,
 };
 
 const char* schedName(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::Reference: return "reference";
-    case SchedulerKind::EventDriven: return "event-driven";
-    case SchedulerKind::Synchronous: return "synchronous";
-    case SchedulerKind::Compiled: return "compiled";
-  }
-  return "?";
+  return k == SchedulerKind::Compiled ? "compiled" : "event-driven";
 }
 
 /// One random program compiled and ready to run.
@@ -85,10 +78,7 @@ Workload makeWorkload(int p) {
   return w;
 }
 
-MachineResult runUnder(const Workload& w, const MachineConfig& cfg,
-                       SchedulerKind k, const fault::Plan* plan,
-                       const guard::Config* guards, std::int64_t watchdog,
-                       bool toQuiescence = false) {
+RunOptions plainOpts(const Workload& w, bool toQuiescence) {
   RunOptions opts;
   opts.waves = 1;
   // A quiescence run retires every in-flight token, so even firing counts
@@ -97,12 +87,27 @@ MachineResult runUnder(const Workload& w, const MachineConfig& cfg,
   // upstream source squeeze in one more (harmless) firing before the stop.
   if (!toQuiescence)
     opts.expectedOutputs[w.prog.outputName] = w.prog.expectedOutputPerWave();
-  opts.scheduler = k;
   opts.maxInstructionTimes = 500'000;  // backstop: faulted runs must not spin
+  return opts;
+}
+
+MachineResult runUnder(const Workload& w, const MachineConfig& cfg,
+                       SchedulerKind k, const fault::Plan* plan,
+                       const guard::Config* guards, std::int64_t watchdog,
+                       bool toQuiescence = false) {
+  RunOptions opts = plainOpts(w, toQuiescence);
+  opts.scheduler = k;
   opts.faults = plan;
   opts.guards = guards;
   opts.watchdog = watchdog;
   return machine::simulate(w.lowered, cfg, w.streams, opts);
+}
+
+/// The fault-free Reference run every faulted run is judged against.
+MachineResult oracleRun(const Workload& w, const MachineConfig& cfg,
+                        bool toQuiescence = false) {
+  return machine::simulateReference(w.lowered, cfg, w.streams,
+                                    plainOpts(w, toQuiescence));
 }
 
 /// The timing-fault contract: everything data-determined is bit-identical to
@@ -172,9 +177,7 @@ TEST_P(FaultMatrix, TimingFaultsPreserveOutputsAndPacketCounts) {
 
   // Fault-free Reference run to quiescence: the oracle everything must
   // match, down to the per-cell firing counts.
-  const MachineResult oracle = runUnder(w, cfg, SchedulerKind::Reference,
-                                        nullptr, nullptr, 0,
-                                        /*toQuiescence=*/true);
+  const MachineResult oracle = oracleRun(w, cfg, /*toQuiescence=*/true);
   ASSERT_TRUE(oracle.completed) << oracle.note;
   EXPECT_EQ(oracle.faults.destructive(), 0u);
   EXPECT_TRUE(oracle.faults.str().empty());
@@ -208,10 +211,8 @@ TEST_P(FaultMatrix, TimingFaultsUnderGuardsAndPlacementStayClean) {
   base.placement = machine::assignCells(
       w.lowered, 3, machine::PlacementStrategy::RoundRobin);
 
-  RunOptions refOpts = base;
-  refOpts.scheduler = SchedulerKind::Reference;
   const MachineResult oracle =
-      machine::simulate(w.lowered, cfg, w.streams, refOpts);
+      machine::simulateReference(w.lowered, cfg, w.streams, base);
   ASSERT_TRUE(oracle.completed) << oracle.note;
 
   fault::Plan plan;
@@ -287,8 +288,7 @@ TEST(FaultDestructive, DropsAndDuplicatesNeverHangOrCorruptSilently) {
     const Workload w = makeWorkload(p);
     SCOPED_TRACE(w.src);
     const MachineConfig cfg = MachineConfig::unit();
-    const MachineResult oracle = runUnder(w, cfg, SchedulerKind::Reference,
-                                          nullptr, nullptr, 0);
+    const MachineResult oracle = oracleRun(w, cfg);
     ASSERT_TRUE(oracle.completed) << oracle.note;
 
     struct Destructive {
@@ -463,6 +463,21 @@ TEST(StallCap, EveryEngineThrowsWhenCapCutsARunShort) {
       EXPECT_NE(msg.find("incomplete outputs"), std::string::npos)
           << schedName(k) << ": " << msg;
     }
+  }
+  // The oracle keeps the cap too, with a one-line reason.
+  RunOptions opts;
+  opts.expectedOutputs[w.prog.outputName] = w.prog.expectedOutputPerWave();
+  opts.maxInstructionTimes = 5;
+  try {
+    machine::simulateReference(w.lowered, MachineConfig::unit(), w.streams,
+                               opts);
+    FAIL() << "reference: truncated run did not throw";
+  } catch (const run::StallError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("cap"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("incomplete outputs"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    EXPECT_EQ(e.at(), 5);
   }
 }
 

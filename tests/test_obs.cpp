@@ -5,10 +5,11 @@
 // deliberately unbalanced reconvergence by name with a structural
 // explanation, and pass again once core::balanceGraph repairs the graph.
 // The trace contract: Fire / Result / Ack streams are identical across
-// every SchedulerKind; FuDenied additionally matches between EventDriven
-// and Compiled, which examine cells only when woken.
+// both schedulers and the Reference oracle; FuDenied additionally matches
+// between EventDriven and Compiled, which examine cells only when woken.
 #include "testing.hpp"
 
+#include <optional>
 #include <sstream>
 
 #include "core/balance.hpp"
@@ -70,18 +71,20 @@ run::StreamMap figure2Inputs(std::int64_t n) {
   return in;
 }
 
-machine::MachineResult runWithSinks(const Graph& lowered,
-                                    obs::MetricsSink* metrics,
-                                    obs::TraceSink* trace,
-                                    machine::SchedulerKind kind,
-                                    machine::MachineConfig cfg =
-                                        machine::MachineConfig::unit()) {
+/// Runs `lowered` with the given sinks under `kind`, or on the Reference
+/// oracle when `kind` is empty.
+machine::MachineResult runWithSinks(
+    const Graph& lowered, obs::MetricsSink* metrics, obs::TraceSink* trace,
+    std::optional<machine::SchedulerKind> kind,
+    machine::MachineConfig cfg = machine::MachineConfig::unit()) {
   machine::RunOptions opts;
-  opts.scheduler = kind;
   opts.metrics = metrics;
   opts.trace = trace;
   const std::int64_t len = 256;
   opts.expectedOutputs["x"] = len;
+  if (!kind)
+    return machine::simulateReference(lowered, cfg, figure2Inputs(len), opts);
+  opts.scheduler = *kind;
   return machine::simulate(lowered, cfg, figure2Inputs(len), opts);
 }
 
@@ -160,9 +163,8 @@ TEST(RateAuditor, BalancingRepairsTheUnbalancedGraph) {
 TEST(Trace, IdenticalAcrossAllSchedulersUnderUnitProfile) {
   const Graph g = figure2Graph(256);
 
-  obs::TraceSink ref, sync, ed, comp;
-  runWithSinks(g, nullptr, &ref, machine::SchedulerKind::Reference);
-  runWithSinks(g, nullptr, &sync, machine::SchedulerKind::Synchronous);
+  obs::TraceSink ref, ed, comp;
+  runWithSinks(g, nullptr, &ref, std::nullopt);
   runWithSinks(g, nullptr, &ed, machine::SchedulerKind::EventDriven);
   runWithSinks(g, nullptr, &comp, machine::SchedulerKind::Compiled);
   ASSERT_TRUE(ref.sealed());
@@ -172,7 +174,6 @@ TEST(Trace, IdenticalAcrossAllSchedulersUnderUnitProfile) {
   // Unit profile has unlimited units, so no FuDenied events exist and the
   // full streams must match across every scheduler.
   EXPECT_TRUE(obs::TraceSink::sameSchedule(ref, ed));
-  EXPECT_TRUE(obs::TraceSink::sameSchedule(sync, ed));
   ASSERT_TRUE(comp.sealed());
   EXPECT_TRUE(obs::TraceSink::sameSchedule(comp, ed));
 }

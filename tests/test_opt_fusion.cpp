@@ -2,7 +2,8 @@
 // chains that are provably plain buffering (and nothing else), and a fused
 // graph must be indistinguishable from its expanded Id-chain twin at the
 // outputs — same values, same output times — on every scheduler, while the
-// schedulers stay bit-identical to each other on the fused graph itself.
+// schedulers stay bit-identical to the Reference oracle on the fused graph
+// itself.
 #include <gtest/gtest.h>
 
 #include "core/compiler.hpp"
@@ -179,8 +180,8 @@ val::ArrayMap genInputs(const val::Module& mod, unsigned seed) {
 
 class FusionEquivalence : public ::testing::TestWithParam<int> {};
 
-/// On random pipe-structured programs, every scheduler must be bit-identical
-/// on the fused graph, and the fused graph must match the expanded one at
+/// On random pipe-structured programs, both schedulers must be bit-identical
+/// to the Reference oracle on the fused graph, and the fused graph must match the expanded one at
 /// the outputs — values and times — under both timing profiles.
 TEST_P(FusionEquivalence, FusedBitIdenticalAcrossSchedulersAndMatchesExpanded) {
   const int p = GetParam();
@@ -204,19 +205,18 @@ TEST_P(FusionEquivalence, FusedBitIdenticalAcrossSchedulersAndMatchesExpanded) {
     RunOptions opts;
     opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
 
-    opts.scheduler = SchedulerKind::Reference;
-    const MachineResult ref = machine::simulate(fused, cfg, streams, opts);
+    const MachineResult ref =
+        machine::simulateReference(fused, cfg, streams, opts);
     ASSERT_TRUE(ref.completed) << ref.note;
     for (const SchedulerKind kind :
-         {SchedulerKind::EventDriven, SchedulerKind::Synchronous,
-          SchedulerKind::Compiled}) {
+         {SchedulerKind::EventDriven, SchedulerKind::Compiled}) {
       opts.scheduler = kind;
       const MachineResult got = machine::simulate(fused, cfg, streams, opts);
       testing::expectIdentical(got, ref, "fused scheduler equivalence");
     }
 
-    opts.scheduler = SchedulerKind::Reference;
-    const MachineResult exp = machine::simulate(expanded, cfg, streams, opts);
+    const MachineResult exp =
+        machine::simulateReference(expanded, cfg, streams, opts);
     ASSERT_TRUE(exp.completed) << exp.note;
     EXPECT_EQ(ref.outputs, exp.outputs) << "fused vs expanded outputs";
     EXPECT_EQ(ref.outputTimes, exp.outputTimes)
@@ -228,9 +228,9 @@ TEST_P(FusionEquivalence, FusedBitIdenticalAcrossSchedulersAndMatchesExpanded) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FusionEquivalence, ::testing::Range(0, 12));
 
 // A generated four-block program (Todd scheme) whose fused lowering once
-// deadlocked on EventDriven and Compiled after 11 of 32 outputs, while
-// Synchronous, Reference and the expanded lowering completed in 162
-// instruction times.  The cause was a wake into the past from the composite
+// deadlocked on EventDriven and Compiled after 11 of 32 outputs, while a
+// full rescan and the expanded lowering completed in 162 instruction
+// times.  The cause was a wake into the past from the composite
 // FIFO's maturation rule: a head token that matured while its destinations
 // were full re-woke its cell at the (past) maturation time, pulling the
 // time wheel's cursor back so that cells were examined before their
@@ -272,15 +272,13 @@ TEST(FusedFifoRegression, GeneratedToddProgramCompletesOnEveryScheduler) {
     ASSERT_EQ(fifoNodeCount(prog.graph) > 0, fuse);
     RunOptions opts;
     opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
-    opts.scheduler = SchedulerKind::Reference;
-    const MachineResult ref = machine::simulate(
+    const MachineResult ref = machine::simulateReference(
         prog.graph, MachineConfig::unit(), streams, opts);
     const std::string lowering = fuse ? "fused" : "expanded";
     ASSERT_TRUE(ref.completed) << lowering << ": " << ref.note;
     EXPECT_EQ(ref.cycles, 162) << lowering;
     const std::pair<SchedulerKind, const char*> kinds[] = {
         {SchedulerKind::EventDriven, "event-driven"},
-        {SchedulerKind::Synchronous, "synchronous"},
         {SchedulerKind::Compiled, "compiled"}};
     for (const auto& [kind, name] : kinds) {
       opts.scheduler = kind;

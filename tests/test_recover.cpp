@@ -6,8 +6,9 @@
 //     invisible: every MachineResult field stays bit-identical;
 //   * exact resume — run to a mid-run boundary, snapshot, serialize,
 //     deserialize, restore into a fresh engine and run to the end: the
-//     result is field-identical to the uninterrupted run, on every scheduler
-//     and both FIFO lowerings (expanded chains and fused composites);
+//     result is field-identical to the uninterrupted run (and to the
+//     Reference oracle's), on both schedulers and both FIFO lowerings
+//     (expanded chains and fused composites);
 //   * recovery — under each destructive fault class the supervisor restores
 //     the last clean snapshot (or restarts), strips the destructive classes,
 //     and finishes with a result fully bit-identical to the fault-free run,
@@ -47,21 +48,15 @@ using testing::GenOptions;
 using testing::ProgramGen;
 using testing::randomArray;
 
+/// The production schedulers; fault-free results are also checked against
+/// the Reference oracle (machine::simulateReference).
 constexpr SchedulerKind kAllSchedulers[] = {
-    SchedulerKind::Reference,
     SchedulerKind::EventDriven,
-    SchedulerKind::Synchronous,
     SchedulerKind::Compiled,
 };
 
 const char* schedName(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::Reference: return "reference";
-    case SchedulerKind::EventDriven: return "event-driven";
-    case SchedulerKind::Synchronous: return "synchronous";
-    case SchedulerKind::Compiled: return "compiled";
-  }
-  return "?";
+  return k == SchedulerKind::Compiled ? "compiled" : "event-driven";
 }
 
 struct Workload {
@@ -105,6 +100,9 @@ TEST(RecoverSnapshot, RestoreResumesBitIdentically) {
     const Workload w = makeWorkload(p);
     for (bool fused : {false, true}) {
       const dfg::Graph& g = fused ? w.prog.graph : w.expanded;
+      const MachineResult oracle = machine::simulateReference(
+          g, MachineConfig::unit(), w.streams,
+          baseOpts(w, SchedulerKind::EventDriven));
       for (SchedulerKind k : kAllSchedulers) {
         const std::string what = std::string(schedName(k)) +
                                  (fused ? "/fused" : "/expanded") +
@@ -112,6 +110,7 @@ TEST(RecoverSnapshot, RestoreResumesBitIdentically) {
         const MachineResult ref =
             machine::simulate(g, MachineConfig::unit(), w.streams,
                               baseOpts(w, k));
+        testing::expectIdentical(ref, oracle, what + " (vs reference)");
         ASSERT_TRUE(ref.completed) << what;
         ASSERT_GT(ref.cycles, 8) << what;
 
@@ -286,10 +285,11 @@ const char* destructiveName(int which) {
 TEST(RecoverSupervisor, DestructiveFaultsRecoverBitIdentically) {
   const Workload w = makeWorkload(0);
   const guard::Config guards;
+  const MachineResult ref = machine::simulateReference(
+      w.expanded, MachineConfig::unit(), w.streams,
+      baseOpts(w, SchedulerKind::EventDriven));
+  ASSERT_TRUE(ref.completed);
   for (SchedulerKind k : kAllSchedulers) {
-    const MachineResult ref = machine::simulate(
-        w.expanded, MachineConfig::unit(), w.streams, baseOpts(w, k));
-    ASSERT_TRUE(ref.completed);
     for (int which = 0; which < 4; ++which) {
       const std::string what = std::string(schedName(k)) + "/" +
                                destructiveName(which);

@@ -87,8 +87,6 @@ TEST(ServeWireFuzz, SchedulerCodesAreFrozen) {
   // wire must not follow core::SchedulerKind's declaration order.
   const std::pair<core::SchedulerKind, std::uint8_t> table[] = {
       {core::SchedulerKind::EventDriven, 0},
-      {core::SchedulerKind::Synchronous, 2},
-      {core::SchedulerKind::Reference, 3},
       {core::SchedulerKind::Compiled, 4},
   };
   // Locate the scheduler byte: the only one two encodings differ in.
@@ -111,15 +109,23 @@ TEST(ServeWireFuzz, SchedulerCodesAreFrozen) {
     const serve::ClientMsg m = serve::parseClient(f.data(), f.size());
     EXPECT_EQ(m.options.scheduler, kind);
   }
-  // Code 1 was the removed sharded parallel scheduler; 5 was never used.
+  // Codes 1-3 named removed schedulers: each is refused by name, with the
+  // two that remain offered instead.  5 was never used.
+  const std::pair<std::uint8_t, const char*> removed[] = {
+      {1, "parallel"}, {2, "synchronous"}, {3, "reference"}};
   Bytes f = fa;
-  f[at] = 1;
-  try {
-    serve::parseClient(f.data(), f.size());
-    ADD_FAILURE() << "scheduler code 1 decoded";
-  } catch (const serve::ProtocolError& e) {
-    EXPECT_NE(std::string(e.what()).find("parallel"), std::string::npos)
-        << e.what();
+  for (const auto& [code, name] : removed) {
+    f[at] = code;
+    try {
+      serve::parseClient(f.data(), f.size());
+      ADD_FAILURE() << "scheduler code " << int(code) << " decoded";
+    } catch (const serve::ProtocolError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(name), std::string::npos) << msg;
+      EXPECT_NE(msg.find("event-driven (0) or compiled (4)"),
+                std::string::npos)
+          << msg;
+    }
   }
   f[at] = 5;
   EXPECT_THROW(serve::parseClient(f.data(), f.size()), serve::ProtocolError);
@@ -128,7 +134,7 @@ TEST(ServeWireFuzz, SchedulerCodesAreFrozen) {
 TEST(ServeWireFuzz, RoundtripEveryMessageType) {
   serve::WireOptions wo;
   wo.fuseFifos = false;
-  wo.scheduler = core::SchedulerKind::Synchronous;
+  wo.scheduler = core::SchedulerKind::Compiled;
   wo.waves = 5;
   wo.watchdog = 42;
   wo.maxInstructionTimes = 99;
